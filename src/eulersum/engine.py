@@ -10,10 +10,22 @@ while non-alternating factors are kept whole. Multiplying out turns the
 requested sum into finitely many pieces that are either constant multiples
 of zeta values, alternating series (accelerated with the Chebyshev scheme
 of Cohen, Rodriguez Villegas and Zagier), or positive series with algebraic
-decay at least 1/n**2 (summed by recursive even/odd splitting, each level
-contributing one short alternating series). Factor values away from the
-cached dense range come from Euler-Maclaurin expansions whose smallest kept
-term is checked against the precision target.
+decay at least 1/n**2. Factor values away from the cached dense range come
+from Euler-Maclaurin expansions whose smallest kept term is checked against
+the precision target.
+
+A positive piece prod h(k)**e * prod psi_k**c / n**q is summed as a direct
+head plus an exact asymptotic tail (after Flajolet and Salvy). The head
+n <= N adds the summand from the dense factor tables, so it never runs an
+expansion per term; hence N is the dense-table length n_dense, which grows
+with the working precision and the boost. Past N the factor expansions
+in x = 1/n and L = ln n, built from the exact Bernoulli and psi-series
+coefficients, are multiplied into sum c_ij L**i x**j, and each term is
+summed in closed form: sum_{n>N} L**i n**-j = (-1)**i zeta^(i)(j, N+1).
+The expansion is carried to dps + 10 orders past its leading one (about
+0.7 * dps are needed at N = n_dense) and summed until two consecutive
+orders fall below the target. N and the order depend on the precision
+alone, so the two staggered runs truncate differently.
 
 Every public evaluation is performed twice at staggered precision and the
 two results must agree to the claimed number of digits; a failed agreement
@@ -143,12 +155,15 @@ class _Workspace:
         self.boost = boost
         self.n_dense = math.ceil((1.5 + 0.5 * boost) * dps) + 32
         self.cvz_factor = 1.35 + 0.25 * boost
+        # orders of the positive-tail expansion past its leading one
+        self.tail_orders = dps + 10
         self.ln2 = mp.ln(2)
         self._zeta: dict[int, mp.mpf] = {}
         self._lihalf: dict[int, mp.mpf] = {}
         self._zl_dense: dict[int, list[mp.mpf]] = {}
         self._psi_dense: dict[int, list[mp.mpf]] = {}
         self._beta_mpf: dict[int, list[mp.mpf]] = {}
+        self._hurwitz: dict[tuple[int, int], mp.mpf] = {}
         self._gamma: mp.mpf | None = None
 
     # -- asymptotic series -------------------------------------------------
@@ -161,11 +176,17 @@ class _Workspace:
         Exactly-zero coefficients occur mid-series (every second psi
         coefficient vanishes), so a single small term must not terminate.
         """
+        return self._adaptive_sized(((t, abs(t)) for t in first_terms),
+                                   target, what)
+
+    def _adaptive_sized(self, first_terms: Iterable[tuple[mp.mpf, mp.mpf]],
+                       target: mp.mpf, what: str) -> mp.mpf:
+        """_adaptive_tail over (term, size) pairs, where size bounds |term|
+        without the cancellation a sum of several parts may have."""
         acc = mp.mpf(0)
         prev = mp.inf
         below = 0
-        for term in first_terms:
-            at = abs(term)
+        for term, at in first_terms:
             acc += term
             if at < target:
                 below += 1
@@ -241,6 +262,15 @@ class _Workspace:
                 m += 1
 
         return self._adaptive_tail(terms(), target, f"psi series k={k}")
+
+    def hurwitz_tail(self, j: int, i: int) -> mp.mpf:
+        """sum_{n > n_dense} ln(n)**i n**-j = (-1)**i zeta^(i)(j, n_dense+1)."""
+        key = (j, i)
+        val = self._hurwitz.get(key)
+        if val is None:
+            val = self._hurwitz[key] = \
+                (-1) ** i * mp.zeta(j, self.n_dense + 1, i)
+        return val
 
     # -- constants -----------------------------------------------------------
 
@@ -468,41 +498,86 @@ def _term_factory(ws: _Workspace, piece: _Piece,
     return u
 
 
-def _positive_sum(ws: _Workspace, piece: _Piece, u: Callable[[int], mp.mpf],
-                  abs_err: mp.mpf) -> mp.mpf:
-    """sum_{n>=1} u(n) for positive u decaying at least like n**-2.
+# A truncated expansion in x = 1/n and L = ln n: {(j, i): c} is the sum of
+# c * x**j * L**i over its entries.
+_Expansion = dict[tuple[int, int], mp.mpf]
 
-    Even/odd splitting: with Alt_L = sum_m (-1)**(m-1) u(2**L m),
-    the total is sum_L 2**L Alt_L, stopped once the envelope bound on the
-    remaining positive tail 2**M sum_m u(2**M m) is below budget.
-    """
+
+def _factor_expansion(ws: _Workspace, kind: str, k: int,
+                      top: int) -> _Expansion:
+    """Large-n expansion of one factor through x**top, from the exact
+    Euler-Maclaurin and psi-series coefficients."""
+    if kind == "h" and k == 1:
+        # H_n = L + gamma + x/2 - sum_r B_2r/(2r) x**2r
+        out = {(0, 1): mp.mpf(1), (0, 0): ws.gamma, (1, 0): mp.mpf(1) / 2}
+        for r in range(1, top // 2 + 1):
+            out[(2 * r, 0)] = -mpf_from_fraction(_harmonic_tail_coeff(r))
+    elif kind == "h":
+        # zeta(k) minus the Euler-Maclaurin tail sum_{j>n} j**-k
+        out = {(0, 0): ws.zeta(k), (k - 1, 0): mp.mpf(-1) / (k - 1),
+               (k, 0): mp.mpf(1) / 2}
+        for r in range(1, (top - k + 1) // 2 + 1):
+            out[(k - 1 + 2 * r, 0)] = -mpf_from_fraction(_zeta_tail_coeff(k, r))
+    else:
+        # psi_k(n) = n**-k - beta(k, n) = x**k/2 - sum_{m>=1} c_m x**(k+m)
+        coeffs = _beta_coeffs(k, max(top - k, 0))
+        out = {(k, 0): mp.mpf(1) / 2}
+        for m in range(1, top - k + 1):
+            if coeffs[m]:
+                out[(k + m, 0)] = -mpf_from_fraction(coeffs[m])
+    return {key: c for key, c in out.items() if key[0] <= top}
+
+
+def _expansion_mul(a: _Expansion, b: _Expansion, top: int) -> _Expansion:
+    out: _Expansion = {}
+    for (ja, ia), ca in a.items():
+        for (jb, ib), cb in b.items():
+            j = ja + jb
+            if j <= top:
+                key = (j, ia + ib)
+                out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+def _head_tail_sum(ws: _Workspace, piece: _Piece, budget: _Budget,
+                   abs_err: mp.mpf) -> mp.mpf:
+    """sum_{n>=1} of a positive piece decaying at least like n**-2: the
+    direct head n <= n_dense plus the closed-form tail of its large-n
+    expansion (see the module docstring)."""
     alpha = piece.power + sum(k * c for k, c in piece.psi)
     if alpha < 2:
         raise DivergentSumError("positive part decays too slowly")
-    jlog = sum(e for k, e in piece.zl if k == 1)
-    cconst = mp.mpf(1)
-    for k, e in piece.zl:
-        if k >= 2:
-            cconst *= ws.zeta(k) ** e
-    total = mp.mpf(0)
-    max_levels = 7 * ws.dps + 80
-    for level in range(max_levels):
-        err_l = abs_err / (mp.mpf(2) ** (level + 1) * (level + 1) * (level + 2))
-        alt = _alternating_sum(lambda m: u((m + 1) << level), err_l, ws)
-        total += mp.mpf(2) ** level * alt
-        n0 = 1 << (level + 1)
-        ln_n0 = mp.ln(n0)
-        # envelope u(n) <= cconst (1+ln n)**jlog n**-alpha needs the
-        # envelope decreasing past n0 before the tail bound applies
-        if (alpha - 1) * (1 + ln_n0) > 2 * jlog:
-            kfac = 1 / ((alpha - 1) * (1 - jlog / ((alpha - 1) * (1 + ln_n0))))
-            n0v = mp.mpf(n0)
-            env_int = cconst * (1 + ln_n0) ** jlog * n0v ** (1 - alpha) * kfac
-            u0 = u(n0)
-            remainder = 2 * (n0v * u0 + env_int)
-            if remainder <= abs_err / 2:
-                return total
-    raise AccelerationError("even/odd splitting did not terminate")
+    u = _term_factory(ws, piece, budget)
+    head = mp.fsum(u(n) for n in range(1, ws.n_dense + 1))
+
+    top = alpha + ws.tail_orders
+    series: _Expansion = {(piece.power, 0): mp.mpf(1)}
+    factors = [("h", k, e) for k, e in piece.zl] + \
+        [("psi", k, c) for k, c in piece.psi]
+    for kind, k, e in factors:
+        fac = _factor_expansion(ws, kind, k, top)
+        for _ in range(e):
+            series = _expansion_mul(series, fac, top)
+    # Orders are taken two at a time: the Euler-Maclaurin parts step by
+    # x**2, so single orders alternate in size.
+    steps: dict[int, list[tuple[int, int, mp.mpf]]] = {}
+    for (j, i), c in series.items():
+        if c:
+            steps.setdefault((j - alpha) // 2, []).append((j, i, c))
+
+    def orders():
+        for step in sorted(steps):
+            val = size = mp.mpf(0)
+            for j, i, c in steps[step]:
+                budget.spend()
+                # (-1)**i zeta^(i)(j, N+1) = sum_{n>N} ln(n)**i n**-j > 0
+                z = ws.hurwitz_tail(j, i)
+                val += c * z
+                size += abs(c) * z
+            yield val, size
+
+    return head + ws._adaptive_sized(orders(), abs_err / 4,
+                                     "positive tail expansion")
 
 
 def _eval_pieces(spec: SumSpec, ws: _Workspace, budget: _Budget) -> mp.mpf:
@@ -518,12 +593,11 @@ def _eval_pieces(spec: SumSpec, ws: _Workspace, budget: _Budget) -> mp.mpf:
                 val = ws.zeta(piece.power)
             else:
                 raise DivergentSumError(str(spec))
-        else:
+        elif piece.alternating:
             u = _term_factory(ws, piece, budget)
-            if piece.alternating:
-                val = _alternating_sum(lambda m: u(m + 1), per, ws)
-            else:
-                val = _positive_sum(ws, piece, u, per)
+            val = _alternating_sum(lambda m: u(m + 1), per, ws)
+        else:
+            val = _head_tail_sum(ws, piece, budget, per)
         total += piece.coeff * val
     return total
 

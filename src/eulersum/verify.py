@@ -362,35 +362,30 @@ def verify(target, digits: int = 25, args=None) -> VerificationReport:
     """
     if digits < 5:
         raise ValueError("digits must be >= 5")
+    # one clock for the whole call, tag resolution included
     t0 = time.perf_counter()
-    if isinstance(target, Identity):
-        try:
-            lhs = target.numeric_lhs(digits)
-            rhs = target.numeric_rhs(digits)
-        except AccelerationError as exc:
-            return _inconclusive(target.provenance, digits, False, t0, exc)
-        return _report(target.provenance, lhs, rhs, digits, False, t0)
-    if isinstance(target, SeriesIdentity):
-        try:
-            lhs = target.numeric_lhs(digits, args=args)
-            rhs = target.numeric_rhs(digits, args=args)
-        except AccelerationError as exc:
-            return _inconclusive(target.provenance, digits, False, t0, exc)
-        return _report(target.provenance, lhs, rhs, digits, False, t0)
-    tag = str(target).strip()
-    job = _special_job(tag)
-    if job is not None:
-        lhs_fn, rhs_fn, cap, control = job
-        eff = min(digits, cap) if cap is not None else digits
-        try:
-            lhs = lhs_fn(eff)
-            rhs = rhs_fn(eff)
-        except AccelerationError as exc:
-            return _inconclusive(tag, eff, control, t0, exc)
-        note = f"requested digits capped at {cap}" if cap is not None \
-            and digits > cap else ""
-        return _report(tag, lhs, rhs, eff, control, t0, note)
-    return verify(resolve_tag(tag), digits, args=args)
+    if not isinstance(target, (Identity, SeriesIdentity)):
+        tag = str(target).strip()
+        job = _special_job(tag)
+        if job is not None:
+            lhs_fn, rhs_fn, cap, control = job
+            eff = min(digits, cap) if cap is not None else digits
+            try:
+                lhs = lhs_fn(eff)
+                rhs = rhs_fn(eff)
+            except AccelerationError as exc:
+                return _inconclusive(tag, eff, control, t0, exc)
+            note = f"requested digits capped at {cap}" if cap is not None \
+                and digits > cap else ""
+            return _report(tag, lhs, rhs, eff, control, t0, note)
+        target = resolve_tag(tag)
+    extra = {"args": args} if isinstance(target, SeriesIdentity) else {}
+    try:
+        lhs = target.numeric_lhs(digits, **extra)
+        rhs = target.numeric_rhs(digits, **extra)
+    except AccelerationError as exc:
+        return _inconclusive(target.provenance, digits, False, t0, exc)
+    return _report(target.provenance, lhs, rhs, digits, False, t0)
 
 
 def suite_tags() -> list[str]:

@@ -13,6 +13,7 @@ import pytest
 
 from helpers import close_digits
 from eulersum.kernel import AccelerationError, DivergentSumError, PrecReal
+from eulersum import engine as engine_module
 from eulersum.engine import (
     DEFAULT_MAX_TERMS,
     eval_I,
@@ -69,12 +70,21 @@ def test_eval_sum_classical_closed_forms():
         # sum H_n/n^3 = (5/4) zeta(4)
         assert close_digits(eval_sum("h(1)/n^3", 30),
                             mp.mpf(5) / 4 * mp.zeta(4), 28)
+        # powers of H_n reach the Hurwitz zeta derivatives of order 2-4
+        z = mp.zeta
+        assert close_digits(eval_sum("h(1)^2/n^2", 30),
+                            mp.mpf(17) / 4 * z(4), 28)
+        assert close_digits(eval_sum("h(1)^3/n^2", 30),
+                            10 * z(5) + z(2) * z(3), 28)
+        assert close_digits(eval_sum("h(1)^4/n^2", 30),
+                            mp.mpf(979) / 24 * z(6) + 3 * z(3) ** 2, 28)
 
 
 def test_eval_sum_requested_digits_scale():
-    lo = eval_sum("h(1)^2/n^2 alt", 15)
-    hi = eval_sum("h(1)^2/n^2 alt", 35)
-    assert close_digits(lo, hi, 14)
+    for spec in ("h(1)^2/n^2 alt", "h(1)^2/n^3"):
+        lo = eval_sum(spec, 15)
+        hi = eval_sum(spec, 35)
+        assert close_digits(lo, hi, 14)
 
 
 def test_eval_sum_accepts_spec_object():
@@ -94,6 +104,26 @@ def test_eval_sum_budget_exhaustion():
     with pytest.raises(AccelerationError):
         eval_sum("l(3)*h(2)/n^2", 27, max_terms=120)
     assert DEFAULT_MAX_TERMS >= 10 ** 5
+
+
+def test_positive_piece_spends_budget(monkeypatch):
+    # a sum of one positive piece: its direct head alone needs more terms;
+    # memoized evaluations spend no terms, so start from a cold cache
+    monkeypatch.setattr(engine_module, "_RAW_CACHE", {})
+    with pytest.raises(AccelerationError):
+        eval_sum("h(1)/n^4", 30, max_terms=10)
+
+
+def test_short_tail_expansion_is_refused():
+    # an expansion cut before its orders reach the target must raise, not
+    # return the truncated sum
+    with mp.workdps(45):
+        ws = engine_module._Workspace(45)
+        ws.tail_orders = 4
+        piece, = engine_module._pieces(parse_sumspec("h(1)/n^4"), ws)
+        budget = engine_module._Budget(DEFAULT_MAX_TERMS)
+        with pytest.raises(AccelerationError):
+            engine_module._head_tail_sum(ws, piece, budget, mp.mpf(10) ** -43)
 
 
 def test_eval_polylog_against_mpmath():

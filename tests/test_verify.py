@@ -1,4 +1,7 @@
 """Verification reports, tag resolution, and suite behavior."""
+import importlib
+import time
+
 import mpmath as mp
 import pytest
 
@@ -16,6 +19,9 @@ from eulersum.verify import (
 )
 from eulersum.engine import eval_sum
 from eulersum import engine as engine_module
+
+# the package re-exports the function verify() under the module's name
+verify_module = importlib.import_module("eulersum.verify")
 
 
 def test_verify_benchmark_passes():
@@ -80,6 +86,22 @@ def test_inconclusive_on_budget_exhaustion(monkeypatch):
     assert report.status == "inconclusive"
     assert not report.passed
     assert report.note
+
+
+def test_elapsed_includes_tag_resolution(monkeypatch):
+    # a warm second call evaluates in milliseconds, so only the time spent
+    # resolving the tag can lift elapsed past the sleep
+    assert verify("Eq(3.7)", 15).passed
+    real = verify_module.resolve_tag
+
+    def slow_resolve(tag):
+        time.sleep(0.05)
+        return real(tag)
+
+    monkeypatch.setattr(verify_module, "resolve_tag", slow_resolve)
+    report = verify("Eq(3.7)", 15)
+    assert report.passed
+    assert report.elapsed >= 0.05
 
 
 def test_table_constants_catalog():
