@@ -439,37 +439,28 @@ def fold_even_zetas(v: SymbolicValue) -> SymbolicValue:
 # Numeric evaluation
 # ---------------------------------------------------------------------------
 
-# Memo keyed by (atom, digits); results are immutable so concurrent reads
-# and redundant recomputation are both harmless.
-_ATOM_MEMO: dict[tuple[Atom, int], PrecReal] = {}
-
-
-def atom_numeric(a: Atom, digits: int = 30) -> PrecReal:
+def atom_numeric(a: Atom, digits: int = 30,
+                 max_terms: int | None = None) -> PrecReal:
     """Numeric value of one atom to `digits` significant digits."""
-    key = (a, digits)
-    hit = _ATOM_MEMO.get(key)
-    if hit is not None:
-        return hit
     if a.tag == "z":
-        val = engine.zeta_value(a.order, digits)
-    elif a.tag == "zb":
-        val = engine.zetabar_value(a.order, digits)
-    elif a.tag == "ln2":
-        val = engine.ln2_value(digits)
-    elif a.tag == "lih":
-        val = engine.lihalf_value(a.order, digits)
-    else:
-        assert a.spec is not None
-        val = engine.eval_sum(a.spec, digits)
-    _ATOM_MEMO[key] = val
-    return val
+        return engine.zeta_value(a.order, digits)
+    if a.tag == "zb":
+        return engine.zetabar_value(a.order, digits)
+    if a.tag == "ln2":
+        return engine.ln2_value(digits)
+    if a.tag == "lih":
+        return engine.lihalf_value(a.order, digits)
+    assert a.spec is not None
+    return engine.eval_sum(a.spec, digits, max_terms=max_terms)
 
 
-def sv_numeric(v: SymbolicValue, digits: int = 30) -> PrecReal:
+def sv_numeric(v: SymbolicValue, digits: int = 30,
+               max_terms: int | None = None) -> PrecReal:
     """Evaluate a symbolic value numerically to `digits` significant digits.
 
     Atoms are evaluated with extra guard digits so that products and modest
-    cancellation between terms cannot eat into the claimed accuracy.
+    cancellation between terms cannot eat into the claimed accuracy; each
+    sum atom's evaluation gets the term budget `max_terms`.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -479,7 +470,8 @@ def sv_numeric(v: SymbolicValue, digits: int = 30) -> PrecReal:
         for mono, coeff in v.terms:
             term = mpf_from_fraction(coeff)
             for atom, exp in mono.powers:
-                term *= atom_numeric(atom, inner).value ** exp
+                val = atom_numeric(atom, inner, max_terms=max_terms)
+                term *= val.value ** exp
             total += term
         result = +total
     return PrecReal(result, digits)

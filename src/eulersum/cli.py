@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from mpmath import mp
@@ -31,7 +30,7 @@ from .kernel import (
     fmt_significant,
 )
 from .sumspec import format_sumspec, parse_sumspec
-from .engine import MAX_TERMS_ENV, eval_sum, lihalf_value
+from .engine import eval_sum, lihalf_value
 from .algebra import sv_numeric, sv_text, sv_to_json
 from .reduce import reduce_quadratic
 from .verify import run_suite, suite_ok, table_constants
@@ -61,8 +60,7 @@ def _add_common(p: argparse.ArgumentParser, default_digits: int = 30) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="output format (default text)")
     p.add_argument("--max-terms", type=int, default=None, dest="max_terms",
-                   help="series term budget override (also via the "
-                        f"{MAX_TERMS_ENV} environment variable)")
+                   help="series term budget of each evaluation (>= 100)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,7 +132,7 @@ def _cmd_reduce(args) -> int:
     reduced = reduce_quadratic(spec)
     digits = args.digits
     direct = eval_sum(spec, digits, max_terms=args.max_terms)
-    approx = sv_numeric(reduced, digits)
+    approx = sv_numeric(reduced, digits, max_terms=args.max_terms)
     with mp.workdps(digits + GUARD_DIGITS):
         delta = abs(mp.mpf(direct.value) - mp.mpf(approx.value))
         delta_text = mp.nstr(delta, 3)
@@ -180,7 +178,8 @@ def _report_text(report) -> str:
 
 
 def _cmd_verify(args) -> int:
-    report = verify_identity(args.tag, args.digits)
+    report = verify_identity(args.tag, args.digits,
+                             max_terms=args.max_terms)
     if args.format == "json":
         _emit(report.to_json())
     else:
@@ -211,7 +210,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    reports = run_suite(args.digits)
+    reports = run_suite(args.digits, max_terms=args.max_terms)
     ok = suite_ok(reports)
     if args.format == "json":
         for r in reports:
@@ -245,11 +244,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.digits < 5:
         parser.error("digits must be >= 5")
-    saved_budget = os.environ.get(MAX_TERMS_ENV)
-    if args.max_terms is not None:
-        if args.max_terms < 100:
-            parser.error("max-terms must be >= 100")
-        os.environ[MAX_TERMS_ENV] = str(args.max_terms)
+    if args.max_terms is not None and args.max_terms < 100:
+        parser.error("max-terms must be >= 100")
     try:
         return _DISPATCH[args.command](args)
     except SumSpecSyntaxError as exc:
@@ -265,12 +261,6 @@ def main(argv=None) -> int:
     except EulerSumError as exc:
         print(f"eulersum: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    finally:
-        if args.max_terms is not None:
-            if saved_budget is None:
-                os.environ.pop(MAX_TERMS_ENV, None)
-            else:
-                os.environ[MAX_TERMS_ENV] = saved_budget
 
 
 if __name__ == "__main__":

@@ -82,13 +82,11 @@ __all__ = [
     "Identity",
     "SeriesIdentity",
     "STerm",
-    "LinearSumTable",
     "pf_coeffs",
     "product_expand",
     "euler_linear",
     "fs_odd_linear",
     "linear_lookup",
-    "linear_table",
     "integral_I_closed",
     "integral_at_minus1",
     "identity_family",
@@ -231,59 +229,30 @@ _FROZEN_ENTRIES: dict[str, str] = {
 _TABLE_CHECK_DIGITS = 25
 
 
-class LinearSumTable:
-    """Map from canonical degree-one specs to their closed forms.
+# Canonical degree-one spec -> closed form. Every entry is verified
+# numerically (engine value vs. symbolic value, 25 digits) before the first
+# lookup is answered; the check runs once per process under the lock.
+_TABLE: dict[str, SymbolicValue] = {
+    format_sumspec(parse_sumspec(key)): parse_symbolic(text)
+    for key, text in _FROZEN_ENTRIES.items()}
+_TABLE_LOCK = threading.Lock()
+_TABLE_CHECKED = False
 
-    Every entry is verified numerically (engine value vs. symbolic value,
-    25 digits) before the first lookup is answered; verification runs once
-    per process and is thread safe.
-    """
 
-    def __init__(self, entries: dict[str, SymbolicValue]):
-        self._entries: dict[str, SymbolicValue] = {}
-        for key, value in entries.items():
-            spec = parse_sumspec(key)
-            if spec.degree != 1:
-                raise ValueError(f"table entry {key!r} is not degree one")
-            self._entries[format_sumspec(spec)] = value
-        self._lock = threading.Lock()
-        self._checked = False
-
-    def _check(self) -> None:
-        with self._lock:
-            if self._checked:
-                return
+def _table_lookup(spec: SumSpec | str) -> SymbolicValue | None:
+    global _TABLE_CHECKED
+    with _TABLE_LOCK:
+        if not _TABLE_CHECKED:
             digits = _TABLE_CHECK_DIGITS + 5
-            for key, value in self._entries.items():
+            for key, value in _TABLE.items():
                 got = eval_sum(key, digits)
                 want = sv_numeric(value, digits)
                 if not got.eq_to(want, _TABLE_CHECK_DIGITS):
                     raise EulerSumError(
                         f"closed-form table entry {key!r} failed its "
                         f"numeric self-check")
-            self._checked = True
-
-    def lookup(self, spec: SumSpec | str) -> SymbolicValue | None:
-        self._check()
-        return self._entries.get(format_sumspec(_as_spec(spec)))
-
-    def keys(self) -> list[str]:
-        return sorted(self._entries)
-
-    def __contains__(self, spec: SumSpec | str) -> bool:
-        return format_sumspec(_as_spec(spec)) in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-_TABLE = LinearSumTable(
-    {key: parse_symbolic(text) for key, text in _FROZEN_ENTRIES.items()})
-
-
-def linear_table() -> LinearSumTable:
-    """The process-wide closed-form table for degree-one sums."""
-    return _TABLE
+            _TABLE_CHECKED = True
+    return _TABLE.get(format_sumspec(_as_spec(spec)))
 
 
 def linear_lookup(spec: SumSpec | str) -> SymbolicValue | None:
@@ -299,7 +268,7 @@ def linear_lookup(spec: SumSpec | str) -> SymbolicValue | None:
         raise ValueError("linear_lookup needs a degree-one sum")
     if not spec.converges():
         raise DivergentSumError(f"{spec} diverges")
-    hit = _TABLE.lookup(spec)
+    hit = _table_lookup(spec)
     if hit is not None:
         return hit
     if spec.alternating:
@@ -440,8 +409,7 @@ class Identity:
 
     def numeric_rhs(self, digits: int = 30,
                     max_terms: int | None = None) -> PrecReal:
-        del max_terms  # atom evaluation uses the engine-wide budget
-        return sv_numeric(self.rhs, digits)
+        return sv_numeric(self.rhs, digits, max_terms=max_terms)
 
     def lhs_text(self) -> str:
         if not self.lhs:
@@ -726,32 +694,43 @@ def _check_pm(name: str, p: int, m: int, pmin: int) -> None:
         raise ValueError(f"{name} needs m >= 0")
 
 
-def _harmonic_pair(p: int, m: int) -> Identity:
-    """{h(1)h(s)/n^p} + {h(1)h(p)/n^s} (s = p+2m+1) via endpoint integrals."""
-    _check_pm("cor2_6", p, m, 2)
-    s = p + 2 * m + 1
+def _sched(zeta: Callable[[int], SymbolicValue],
+           bundle: Callable[[int, int], SymbolicValue],
+           a: int, b: int) -> SymbolicValue:
+    """The bundle schedule shared by the pair identities, with
+    e_i = (-1)**(i-1) and every index i >= 1:
+
+        + sum_{i<b}   e_i zeta(b+1-i) bundle(a-1, i)
+        + sum_{i<b-1} e_i zeta(b-i)   bundle(a, i)
+        - sum_{i<a-1} e_i zeta(a-i)   bundle(b, i)
+        - sum_{i<a}   e_i zeta(a+1-i) bundle(b-1, i)
+    """
+    acc = sv_zero()
+    for sign, z0, top, shift in ((1, b + 1, b, a - 1), (1, b, b - 1, a),
+                                 (-1, a, a - 1, b), (-1, a + 1, a, b - 1)):
+        for i in range(1, top):
+            acc = sv_add(acc, sv_scale(sv_mul(zeta(z0 - i), bundle(shift, i)),
+                                       sign * (-1) ** (i - 1)))
+    return acc
+
+
+def _harmonic_pair(p: int, m: int, gap: int = 1) -> Identity:
+    """{h(1)h(s)/n^p} + {h(1)h(p)/n^s} for odd gap s = p+2m+1 (cor2_6),
+    or their difference for even gap s = p+2m+2 (thm2_8), via endpoint
+    integrals."""
+    name = "cor2_6" if gap == 1 else "thm2_8"
+    _check_pm(name, p, m, 2)
+    s = p + 2 * m + gap
     sign = Fraction((-1) ** p)
     one, two = _pair_specs(p, s, "h", "h", False)
-    rhs = sv_zero()
-    rhs = sv_add(rhs, sv_scale(integral_I_closed(p - 1, s + 1), s + 1))
-    rhs = sv_add(rhs, sv_scale(integral_I_closed(p, s), 2 * m + 1))
-    rhs = sv_sub(rhs, sv_scale(integral_I_closed(p + 1, s - 1), p + 1))
-    for i in range(1, s):
-        rhs = sv_add(rhs, sv_scale(
-            sv_mul(_zeta(s + 1 - i), _h_bundle(p - 1, i, False)),
-            (-1) ** (i - 1)))
-    for i in range(1, s - 1):
-        rhs = sv_add(rhs, sv_scale(
-            sv_mul(_zeta(s - i), _h_bundle(p, i, False)), (-1) ** (i - 1)))
-    for i in range(1, p - 1):
-        rhs = sv_sub(rhs, sv_scale(
-            sv_mul(_zeta(p - i), _h_bundle(s, i, False)), (-1) ** (i - 1)))
-    for i in range(1, p):
-        rhs = sv_sub(rhs, sv_scale(
-            sv_mul(_zeta(p + 1 - i), _h_bundle(s - 1, i, False)),
-            (-1) ** (i - 1)))
-    return Identity("cor2_6(%d,%d)" % (p, m),
-                    ((one, sign), (two, sign)), rhs, (p, m))
+    rhs = sv_add(
+        sv_scale(integral_I_closed(p - 1, s + 1), s + 1),
+        sv_scale(integral_I_closed(p, s), s - p),
+        sv_scale(integral_I_closed(p + 1, s - 1), -(p + 1)),
+        _sched(_zeta, lambda a, i: _h_bundle(a, i, False), p, s))
+    return Identity("%s(%d,%d)" % (name, p, m),
+                    ((one, sign), (two, sign * (-1) ** (gap - 1))), rhs,
+                    (p, m))
 
 
 def _harmonic_pair_alt(p: int, m: int) -> Identity:
@@ -770,52 +749,10 @@ def _harmonic_pair_alt(p: int, m: int) -> Identity:
             ln_part = sv_add(ln_part, _linear_value(
                 SumSpec((Factor("h", order),), power, alt)))
     rhs = sv_add(rhs, sv_scale(sv_mul(sym_ln2(), ln_part), sign))
-    for i in range(1, p):
-        rhs = sv_add(rhs, sv_scale(
-            sv_mul(sym_zetabar(p + 1 - i), _h_bundle(s - 1, i, True)),
-            (-1) ** (i - 1)))
-    for i in range(1, p - 1):
-        rhs = sv_add(rhs, sv_scale(
-            sv_mul(sym_zetabar(p - i), _h_bundle(s, i, True)),
-            (-1) ** (i - 1)))
-    for i in range(1, s - 1):
-        rhs = sv_sub(rhs, sv_scale(
-            sv_mul(sym_zetabar(s - i), _h_bundle(p, i, True)),
-            (-1) ** (i - 1)))
-    for i in range(1, s):
-        rhs = sv_sub(rhs, sv_scale(
-            sv_mul(sym_zetabar(s + 1 - i), _h_bundle(p - 1, i, True)),
-            (-1) ** (i - 1)))
+    rhs = sv_add(rhs, _sched(sym_zetabar, lambda a, i: _h_bundle(a, i, True),
+                             s, p))
     return Identity("cor2_7(%d,%d)" % (p, m),
                     ((one, sign), (two, sign)), rhs, (p, m))
-
-
-def _harmonic_pair_diff(p: int, m: int) -> Identity:
-    """{h(1)h(s)/n^p} - {h(1)h(p)/n^s} for even gap s = p+2m+2."""
-    _check_pm("thm2_8", p, m, 2)
-    s = p + 2 * m + 2
-    sign = Fraction((-1) ** p)
-    one, two = _pair_specs(p, s, "h", "h", False)
-    rhs = sv_zero()
-    for i in range(1, s):
-        rhs = sv_add(rhs, sv_scale(
-            sv_mul(_zeta(s + 1 - i), _h_bundle(p - 1, i, False)),
-            (-1) ** (i - 1)))
-    for i in range(1, s - 1):
-        rhs = sv_add(rhs, sv_scale(
-            sv_mul(_zeta(s - i), _h_bundle(p, i, False)), (-1) ** (i - 1)))
-    for i in range(1, p - 1):
-        rhs = sv_sub(rhs, sv_scale(
-            sv_mul(_zeta(p - i), _h_bundle(s, i, False)), (-1) ** (i - 1)))
-    for i in range(1, p):
-        rhs = sv_sub(rhs, sv_scale(
-            sv_mul(_zeta(p + 1 - i), _h_bundle(s - 1, i, False)),
-            (-1) ** (i - 1)))
-    rhs = sv_add(rhs, sv_scale(integral_I_closed(p - 1, s + 1), s + 1))
-    rhs = sv_add(rhs, sv_scale(integral_I_closed(p, s), 2 * m + 2))
-    rhs = sv_sub(rhs, sv_scale(integral_I_closed(p + 1, s - 1), p + 1))
-    return Identity("thm2_8(%d,%d)" % (p, m),
-                    ((one, sign), (two, -sign)), rhs, (p, m))
 
 
 # The printed source carries the outer sign of this family's sums as
@@ -845,20 +782,7 @@ def _alternating_pair(p: int, m: int) -> Identity:
                 SumSpec((Factor("l", order),), power, alt)))
     rhs = sv_add(rhs, sv_scale(sv_mul(sym_ln2(), ln_part),
                                Fraction((-1) ** p)))
-    for i in range(1, p):
-        rhs = sv_add(rhs, sv_scale(
-            sv_mul(sym_zetabar(p + 1 - i), _l_bundle(s - 1, i)),
-            (-1) ** (i - 1)))
-    for i in range(1, p - 1):
-        rhs = sv_add(rhs, sv_scale(
-            sv_mul(sym_zetabar(p - i), _l_bundle(s, i)), (-1) ** (i - 1)))
-    for i in range(1, s):
-        rhs = sv_sub(rhs, sv_scale(
-            sv_mul(sym_zetabar(s + 1 - i), _l_bundle(p - 1, i)),
-            (-1) ** (i - 1)))
-    for i in range(1, s - 1):
-        rhs = sv_sub(rhs, sv_scale(
-            sv_mul(sym_zetabar(s - i), _l_bundle(p, i)), (-1) ** (i - 1)))
+    rhs = sv_add(rhs, _sched(sym_zetabar, _l_bundle, s, p))
     return Identity("thm2_9(%d,%d)" % (p, m),
                     ((one, sign), (two, sign)), rhs, (p, m))
 
@@ -1090,12 +1014,13 @@ _FAMILIES: dict[str, tuple[Callable, tuple[type, ...]]] = {
     "cor2_7": (_harmonic_pair_alt, (int, int)),
     "thm2_5": (_integral_route_relation, (int, int)),
     "thm2_6": (_weighted_pair_series, (int, int, Fraction)),
-    "thm2_8": (_harmonic_pair_diff, (int, int)),
+    "thm2_8": (lambda p, m: _harmonic_pair(p, m, gap=2), (int, int)),
     "thm2_9": (_alternating_pair, (int, int)),
     "sym3_1": (_triple_partial_relation,
                (int, int, int, Fraction, Fraction, Fraction)),
     "cor3_2": (_stuffle_harmonic, (int, int)),
     "cor3_3": (_stuffle_alternating, (int, int)),
+    "product_expand": (product_expand, (int, int)),
 }
 
 
@@ -1301,7 +1226,7 @@ def regression_identities() -> list[Identity]:
                     "h(2)/n^2 alt"):
             ids.append(Identity("S1:%s" % key,
                                 ((parse_sumspec(key), Fraction(1)),),
-                                _TABLE.lookup(key)))
+                                _table_lookup(key)))
         _REGRESSION = tuple(ids)
     return list(_REGRESSION)
 
@@ -1314,8 +1239,8 @@ _TAG_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\((.*)\)\Z")
 
 
 def resolve_tag(tag: str) -> Identity | SeriesIdentity:
-    """Identity for a catalog tag: a fixed benchmark tag, a family call
-    like "cor2_7(2,0)", or "product_expand(s,t)"."""
+    """Identity for a catalog tag: a fixed benchmark tag or a family call
+    like "cor2_7(2,0)" or "product_expand(s,t)"."""
     tag = tag.strip()
     for ident in regression_identities():
         if ident.provenance == tag:
@@ -1325,15 +1250,9 @@ def resolve_tag(tag: str) -> Identity | SeriesIdentity:
         name, argstr = m.group(1), m.group(2)
         parts = tuple(a.strip() for a in argstr.split(",")) if argstr.strip() \
             else ()
-        if name == "product_expand":
-            if len(parts) != 2:
-                raise ValueError("product_expand takes 2 parameters")
-            return product_expand(_coerce_param(parts[0], int),
-                                  _coerce_param(parts[1], int))
         if name in _FAMILIES:
             return identity_family(name, parts)
     raise ValueError(
         f"unknown identity tag {tag!r}; fixed tags: "
         + ", ".join(regression_tags())
-        + "; families: " + ", ".join(family_names())
-        + ", product_expand")
+        + "; families: " + ", ".join(family_names()))

@@ -314,50 +314,54 @@ _BRUTE_DIGITS_CAP = 12
 # ---------------------------------------------------------------------------
 
 
-def _special_job(tag: str):
+def _special_job(tag: str, max_terms: int | None):
     """Resolve suite-only tags; returns (lhs_fn, rhs_fn, cap, control)
     or None when the tag belongs to the identity catalog."""
     for t, spec, printed, cap in _TABLE_CONSTANTS:
         if tag == t:
             if spec:
-                lhs = lambda d: eval_sum(spec, d)
+                lhs = lambda d: eval_sum(spec, d, max_terms=max_terms)
             else:
                 lhs = lambda d: lihalf_value(4, d)
             rhs = lambda d: _printed_value(printed, d)
             return lhs, rhs, cap, False
     if tag in ("R(4,1)", "R(2,3)"):
         (p, q), sym = _r_display(tag)
-        return (lambda d: eval_R(p, q, d),
-                lambda d: sv_numeric(sym, d), None, False)
+        return (lambda d: eval_R(p, q, d, max_terms=max_terms),
+                lambda d: sv_numeric(sym, d, max_terms=max_terms), None, False)
     if tag.startswith("I(") and tag.endswith(")"):
         inner = tag[2:-1].split(",")
         if len(inner) == 2:
             p, q = int(inner[0]), int(inner[1])
             sym = integral_I_closed(p, q)
-            return (lambda d: sv_numeric(sym, d),
-                    lambda d: eval_I(p, q, 1, d), None, False)
+            return (lambda d: sv_numeric(sym, d, max_terms=max_terms),
+                    lambda d: eval_I(p, q, 1, d, max_terms=max_terms),
+                    None, False)
     if tag.startswith("brute:euler(") and tag.endswith(")"):
         k = int(tag[len("brute:euler("):-1])
         sym = euler_linear(k)
-        return (lambda d: sv_numeric(sym, d),
+        return (lambda d: sv_numeric(sym, d, max_terms=max_terms),
                 lambda d: brute_euler(k, d), _BRUTE_DIGITS_CAP, False)
     if tag.startswith("brute:fs(") and tag.endswith(")"):
         p, q = (int(x) for x in tag[len("brute:fs("):-1].split(","))
         sym = fs_odd_linear(p, q)
-        return (lambda d: sv_numeric(sym, d),
+        return (lambda d: sv_numeric(sym, d, max_terms=max_terms),
                 lambda d: brute_fs(p, q, d), _BRUTE_DIGITS_CAP, False)
     if tag == "NegControl:Eq(3.6)":
         ident = _negative_control()
-        return (lambda d: ident.numeric_lhs(d),
-                lambda d: ident.numeric_rhs(d), None, True)
+        return (lambda d: ident.numeric_lhs(d, max_terms=max_terms),
+                lambda d: ident.numeric_rhs(d, max_terms=max_terms),
+                None, True)
     return None
 
 
-def verify(target, digits: int = 25, args=None) -> VerificationReport:
+def verify(target, digits: int = 25, args=None,
+           max_terms: int | None = None) -> VerificationReport:
     """Certify one identity (object or catalog tag) at `digits` digits.
 
-    Series identities accept optional rational `args`. Budget exhaustion
-    yields an inconclusive report instead of an exception; anything else
+    Series identities accept optional rational `args`. Every sum is
+    evaluated under the term budget `max_terms`. Budget exhaustion yields
+    an inconclusive report instead of an exception; anything else
     propagates.
     """
     if digits < 5:
@@ -366,7 +370,7 @@ def verify(target, digits: int = 25, args=None) -> VerificationReport:
     t0 = time.perf_counter()
     if not isinstance(target, (Identity, SeriesIdentity)):
         tag = str(target).strip()
-        job = _special_job(tag)
+        job = _special_job(tag, max_terms)
         if job is not None:
             lhs_fn, rhs_fn, cap, control = job
             eff = min(digits, cap) if cap is not None else digits
@@ -381,8 +385,8 @@ def verify(target, digits: int = 25, args=None) -> VerificationReport:
         target = resolve_tag(tag)
     extra = {"args": args} if isinstance(target, SeriesIdentity) else {}
     try:
-        lhs = target.numeric_lhs(digits, **extra)
-        rhs = target.numeric_rhs(digits, **extra)
+        lhs = target.numeric_lhs(digits, max_terms=max_terms, **extra)
+        rhs = target.numeric_rhs(digits, max_terms=max_terms, **extra)
     except AccelerationError as exc:
         return _inconclusive(target.provenance, digits, False, t0, exc)
     return _report(target.provenance, lhs, rhs, digits, False, t0)
@@ -404,9 +408,10 @@ def suite_tags() -> list[str]:
     return tags
 
 
-def run_suite(digits: int = 25) -> list[VerificationReport]:
+def run_suite(digits: int = 25,
+              max_terms: int | None = None) -> list[VerificationReport]:
     """Verify the whole fixed catalog in order. Always runs every entry."""
-    return [verify(tag, digits) for tag in suite_tags()]
+    return [verify(tag, digits, max_terms=max_terms) for tag in suite_tags()]
 
 
 def suite_ok(reports) -> bool:

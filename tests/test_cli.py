@@ -142,11 +142,20 @@ def test_usage_errors(capsys):
     assert exc.value.code == 1
 
 
-def test_max_terms_flows_to_engine(capsys):
+def test_max_terms_flows_to_engine(capsys, monkeypatch):
     code, _, err = run(capsys, "eval", "l(1)*h(2)/n^3", "--digits", "30",
                        "--max-terms", "120")
     assert code == 2
     assert "budget" in err or "max-terms" in err
+    # verify reports the exhausted budget as inconclusive
+    code, out, _ = run(capsys, "verify", "--id", "table:l(1)*h(2)/n^3",
+                       "--max-terms", "120")
+    assert code == 3
+    assert "inconclusive" in out
+    # --max-terms is the only way to set the budget
+    monkeypatch.setenv("EULERSUM_MAX_TERMS", "120")
+    code, _, _ = run(capsys, "eval", "l(1)*h(2)/n^3", "--digits", "30")
+    assert code == 0
 
 
 def test_version_flag(capsys):

@@ -6,6 +6,8 @@ Hurwitz zeta and digamma tails, consecutive terms paired to keep the
 summand smooth, and the outer series fed to mpmath's adaptive nsum.
 That route shares no code with the engine under test.
 """
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath as mp
@@ -99,19 +101,49 @@ def test_eval_sum_divergent():
 
 
 def test_eval_sum_budget_exhaustion():
-    # a fresh spec/digits pair (cached results spend no terms) cannot
-    # finish in a 120-term budget
     with pytest.raises(AccelerationError):
         eval_sum("l(3)*h(2)/n^2", 27, max_terms=120)
     assert DEFAULT_MAX_TERMS >= 10 ** 5
 
 
-def test_positive_piece_spends_budget(monkeypatch):
-    # a sum of one positive piece: its direct head alone needs more terms;
-    # memoized evaluations spend no terms, so start from a cold cache
-    monkeypatch.setattr(engine_module, "_RAW_CACHE", {})
+def test_cached_value_spends_budget():
+    # a warm cache must not let a request through that a cold one refuses
+    eval_sum("l(3)*h(2)/n^2", 27)
+    with pytest.raises(AccelerationError):
+        eval_sum("l(3)*h(2)/n^2", 27, max_terms=120)
+
+
+def test_positive_piece_spends_budget():
+    # a sum of one positive piece: its direct head alone needs more terms
     with pytest.raises(AccelerationError):
         eval_sum("h(1)/n^4", 30, max_terms=10)
+
+
+def test_beta_coeffs_concurrent_fill():
+    # two threads extending the same fresh coefficient list must not
+    # interleave their appends; orders far above any spec's are fresh
+    ks = range(401, 406)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k in ks:
+            start = threading.Barrier(2, timeout=30)
+
+            def fill(k=k, start=start):
+                start.wait()
+                engine_module._beta_coeffs(k, 120)
+
+            threads = [threading.Thread(target=fill) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    for k in ks:
+        raced = engine_module._BETA_COEFFS.pop(k)[:121]
+        assert raced == engine_module._beta_coeffs(k, 120)[:121]
 
 
 def test_short_tail_expansion_is_refused():

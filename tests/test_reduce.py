@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import close_digits
 from eulersum.kernel import (
+    AccelerationError,
     DivergentSumError,
     UnsupportedReductionError,
 )
@@ -152,6 +153,12 @@ def test_identity_numerics_and_json():
     assert "h(2)*h(3)/n alt" in str(ident)
 
 
+def test_identity_rhs_obeys_term_budget():
+    # the right side's sum atoms are evaluated under the caller's budget
+    with pytest.raises(AccelerationError):
+        resolve_tag("Eq(3.7)").numeric_rhs(25, max_terms=1)
+
+
 def test_regression_catalog():
     idents = regression_identities()
     tags = regression_tags()
@@ -178,7 +185,7 @@ def test_resolve_tag_families_and_errors():
 def test_identity_family_catalog():
     names = family_names()
     for want in ("cor2_6", "cor2_7", "thm2_5", "thm2_6", "thm2_8",
-                 "thm2_9", "sym3_1", "cor3_2", "cor3_3"):
+                 "thm2_9", "sym3_1", "cor3_2", "cor3_3", "product_expand"):
         assert want in names
     with pytest.raises(ValueError):
         identity_family("nope", (1, 2))
@@ -188,6 +195,8 @@ def test_identity_family_catalog():
     ("cor2_6", (2, 0)),
     ("thm2_8", (2, 0)),
     ("cor3_3", (2, 1)),
+    ("cor2_7", (2, 0)),
+    ("thm2_9", (2, 0)),
 ])
 def test_family_instances_verify_numerically(name, params):
     ident = identity_family(name, params)

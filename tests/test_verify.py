@@ -18,7 +18,6 @@ from eulersum.verify import (
     verify,
 )
 from eulersum.engine import eval_sum
-from eulersum import engine as engine_module
 
 # the package re-exports the function verify() under the module's name
 verify_module = importlib.import_module("eulersum.verify")
@@ -78,11 +77,8 @@ def test_digits_agreed_monotone_in_request():
     assert low.digits_agreed <= high.digits_agreed
 
 
-def test_inconclusive_on_budget_exhaustion(monkeypatch):
-    # memoized evaluations spend no terms, so start from a cold cache
-    monkeypatch.setattr(engine_module, "_RAW_CACHE", {})
-    monkeypatch.setenv("EULERSUM_MAX_TERMS", "120")
-    report = verify("table:l(1)*h(2)/n^3", 25)
+def test_inconclusive_on_budget_exhaustion():
+    report = verify("table:l(1)*h(2)/n^3", 25, max_terms=120)
     assert report.status == "inconclusive"
     assert not report.passed
     assert report.note
