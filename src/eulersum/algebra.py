@@ -23,7 +23,6 @@ and ``sv_from_json(sv_to_json(v))`` reproduce ``v`` exactly.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -32,11 +31,12 @@ from mpmath import mp
 
 from .kernel import (
     GUARD_DIGITS,
+    LOCK,
     EulerSumError,
     PrecReal,
     Rational,
+    at_dps,
     mpf_from_fraction,
-    working_dps,
     zeta_even_rational,
 )
 from .sumspec import SumSpec, parse_sumspec
@@ -338,7 +338,6 @@ def weight_of(v: SymbolicValue) -> int | None:
 # Normalization
 # ---------------------------------------------------------------------------
 
-_LIH_LOCK = threading.Lock()
 _LIH_REWRITES: dict[int, SymbolicValue] | None = None
 
 
@@ -347,29 +346,26 @@ def _lih_rewrites() -> dict[int, SymbolicValue]:
     check against the direct series.  A mismatch is a hard error because it
     would silently corrupt every downstream reduction."""
     global _LIH_REWRITES
-    if _LIH_REWRITES is not None:
+    with LOCK:
+        if _LIH_REWRITES is None:
+            half = Fraction(1, 2)
+            li2 = half * sym_zeta(2) - half * sym_ln2() ** 2
+            li3 = (
+                Fraction(7, 8) * sym_zeta(3)
+                - half * sym_zeta(2) * sym_ln2()
+                + Fraction(1, 6) * sym_ln2() ** 3
+            )
+            check_digits = 30
+            for k, candidate in ((2, li2), (3, li3)):
+                direct = engine.lihalf_value(k, check_digits)
+                composed = sv_numeric(candidate, check_digits)
+                if not composed.eq_to(direct, check_digits - 2):
+                    raise RuntimeError(
+                        f"lih({k}) rewrite failed its numeric self-check: "
+                        f"{composed} vs {direct}"
+                    )
+            _LIH_REWRITES = {2: li2, 3: li3}
         return _LIH_REWRITES
-    with _LIH_LOCK:
-        if _LIH_REWRITES is not None:
-            return _LIH_REWRITES
-        half = Fraction(1, 2)
-        li2 = half * sym_zeta(2) - half * sym_ln2() ** 2
-        li3 = (
-            Fraction(7, 8) * sym_zeta(3)
-            - half * sym_zeta(2) * sym_ln2()
-            + Fraction(1, 6) * sym_ln2() ** 3
-        )
-        check_digits = 30
-        for k, candidate in ((2, li2), (3, li3)):
-            direct = engine.lihalf_value(k, check_digits)
-            composed = sv_numeric(candidate, check_digits)
-            if not composed.eq_to(direct, check_digits - 2):
-                raise RuntimeError(
-                    f"lih({k}) rewrite failed its numeric self-check: "
-                    f"{composed} vs {direct}"
-                )
-        _LIH_REWRITES = {2: li2, 3: li3}
-    return _LIH_REWRITES
 
 
 def _atom_substitution(atom: Atom) -> SymbolicValue:
@@ -465,7 +461,7 @@ def sv_numeric(v: SymbolicValue, digits: int = 30,
     if digits < 1:
         raise ValueError("digits must be >= 1")
     inner = digits + 10
-    with working_dps(inner):
+    with at_dps(inner + GUARD_DIGITS):
         total = mp.mpf(0)
         for mono, coeff in v.terms:
             term = mpf_from_fraction(coeff)

@@ -7,8 +7,9 @@ cross-check), `verify` (certify one catalog identity), `constants`
 regression catalog).
 
 Exit codes: 0 success or all-pass, 1 usage or parse error, 2 divergent
-or uncovered input, 3 verification failure. JSON output always carries
-a schema version field "v": 1.
+or uncovered input, 3 verification failure (including a `reduce`
+cross-check that fails). JSON output always carries a schema version
+field "v": 1.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .kernel import (
     EulerSumError,
     SumSpecSyntaxError,
     UnsupportedReductionError,
+    at_dps,
     fmt_significant,
 )
 from .sumspec import format_sumspec, parse_sumspec
@@ -102,7 +104,7 @@ def _emit(payload: dict) -> None:
 
 def _error_bound(value, digits: int) -> str:
     """Decimal ulp-style bound for a value carrying `digits` good digits."""
-    with mp.workdps(digits + GUARD_DIGITS):
+    with at_dps(digits + GUARD_DIGITS):
         v = mp.mpf(value)
         if v == 0:
             return f"1e-{digits}"
@@ -133,7 +135,7 @@ def _cmd_reduce(args) -> int:
     digits = args.digits
     direct = eval_sum(spec, digits, max_terms=args.max_terms)
     approx = sv_numeric(reduced, digits, max_terms=args.max_terms)
-    with mp.workdps(digits + GUARD_DIGITS):
+    with at_dps(digits + GUARD_DIGITS):
         delta = abs(mp.mpf(direct.value) - mp.mpf(approx.value))
         delta_text = mp.nstr(delta, 3)
     if args.format == "json":
@@ -150,6 +152,10 @@ def _cmd_reduce(args) -> int:
         print(f"{format_sumspec(spec)}")
         print(f"  = {sv_text(reduced)}")
         print(f"cross-check delta = {delta_text} at {digits} digits")
+    if not direct.eq_to(approx, digits):
+        print(f"eulersum: reduction of {format_sumspec(spec)} disagrees with "
+              f"its direct value at {digits} digits", file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 
@@ -166,9 +172,8 @@ def _report_text(report) -> str:
                      + fmt_significant(report.lhs_value.value, d))
         lines.insert(3, "rhs:              "
                      + fmt_significant(report.rhs_value.value, d))
-        with mp.workdps(10):
-            lines.insert(4, "|lhs-rhs|:        "
-                         + mp.nstr(mp.mpf(report.abs_diff.value), 3))
+        lines.insert(4, "|lhs-rhs|:        "
+                     + mp.nstr(report.abs_diff.value, 3))
     if report.negative_control:
         lines.append("negative control: expected to fail")
     if report.note:

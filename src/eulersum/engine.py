@@ -27,9 +27,11 @@ The expansion is carried to dps + 10 orders past its leading one (about
 orders fall below the target. N and the order depend on the precision
 alone, so the two staggered runs truncate differently.
 
-Every public evaluation is performed twice at staggered precision and the
-two results must agree to the claimed number of digits; a failed agreement
-escalates the internal thresholds once and then raises AccelerationError.
+Every public evaluator is a run function handed to `kernel.certified`,
+which owns precision and certification: it runs the function at two
+staggered precisions under the process-wide precision lock, compares the
+two values to the claimed digits, retries once with raised internal
+thresholds (boost 1), and otherwise raises AccelerationError.
 """
 
 from __future__ import annotations
@@ -43,13 +45,15 @@ from typing import Callable, Iterable, Sequence
 import mpmath as mp
 
 from .kernel import (
-    GUARD_DIGITS,
+    DEFAULT_MAX_TERMS,
     AccelerationError,
+    Budget,
     DivergentSumError,
     PrecReal,
     Rational,
     binomial_exact,
     bernoulli_frac,
+    certified,
     mpf_from_fraction,
 )
 from .sumspec import Factor, SumSpec, parse_sumspec
@@ -58,7 +62,6 @@ __all__ = [
     "eval_sum",
     "eval_polylog",
     "eval_series",
-    "polylog_moment",
     "eval_I",
     "eval_R",
     "zeta_value",
@@ -68,23 +71,6 @@ __all__ = [
     "euler_gamma_value",
     "DEFAULT_MAX_TERMS",
 ]
-
-DEFAULT_MAX_TERMS = 10 ** 6
-
-
-class _Budget:
-    """Counts series-term evaluations so runaway requests fail loudly."""
-
-    __slots__ = ("remaining",)
-
-    def __init__(self, limit: int):
-        self.remaining = limit
-
-    def spend(self, n: int = 1) -> None:
-        self.remaining -= n
-        if self.remaining < 0:
-            raise AccelerationError(
-                "term budget exhausted; raise --max-terms for this request")
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +122,8 @@ def _harmonic_tail_coeff(r: int) -> Fraction:
 class _Workspace:
     """Factor evaluators and constants cached for one working precision.
 
-    All mpf values held here were created at `dps` decimal digits; callers
-    must only use a workspace under a matching mp.workdps block.
+    All mpf values held here were created at `dps` decimal digits; only a
+    run function that `kernel.certified` calls at `dps` may use it.
     """
 
     def __init__(self, dps: int, boost: int = 0):
@@ -477,7 +463,7 @@ def _pieces(spec: SumSpec, ws: _Workspace) -> list[_Piece]:
 
 
 def _term_factory(ws: _Workspace, piece: _Piece,
-                  budget: _Budget) -> Callable[[int], mp.mpf]:
+                  budget: Budget) -> Callable[[int], mp.mpf]:
     zl, psi, q = piece.zl, piece.psi, piece.power
 
     def u(n: int) -> mp.mpf:
@@ -533,7 +519,7 @@ def _expansion_mul(a: _Expansion, b: _Expansion, top: int) -> _Expansion:
     return out
 
 
-def _head_tail_sum(ws: _Workspace, piece: _Piece, budget: _Budget,
+def _head_tail_sum(ws: _Workspace, piece: _Piece, budget: Budget,
                    abs_err: mp.mpf) -> mp.mpf:
     """sum_{n>=1} of a positive piece decaying at least like n**-2: the
     direct head n <= n_dense plus the closed-form tail of its large-n
@@ -574,7 +560,7 @@ def _head_tail_sum(ws: _Workspace, piece: _Piece, budget: _Budget,
                                      "positive tail expansion")
 
 
-def _eval_pieces(spec: SumSpec, ws: _Workspace, budget: _Budget) -> mp.mpf:
+def _eval_pieces(spec: SumSpec, ws: _Workspace, budget: Budget) -> mp.mpf:
     pieces = _pieces(spec, ws)
     abs_target = mp.mpf(10) ** (2 - ws.dps)
     total = mp.mpf(0)
@@ -602,7 +588,7 @@ def _raw_slot(text: str, dps: int, boost: int) -> list[tuple[mp.mpf, int]]:
     return []
 
 
-def _eval_raw(spec: SumSpec, dps: int, budget: _Budget, boost: int) -> mp.mpf:
+def _eval_raw(spec: SumSpec, dps: int, budget: Budget, boost: int) -> mp.mpf:
     """One uncertified run. A cached value spends the terms its cold run
     spent, so whether a request fits its budget never depends on what the
     process evaluated before."""
@@ -612,8 +598,7 @@ def _eval_raw(spec: SumSpec, dps: int, budget: _Budget, boost: int) -> mp.mpf:
         budget.spend(cost)
         return val
     start = budget.remaining
-    with mp.workdps(dps):
-        val = _eval_pieces(spec, _workspace(dps, boost), budget)
+    val = _eval_pieces(spec, _workspace(dps, boost), budget)
     slot.append((val, start - budget.remaining))
     return val
 
@@ -624,35 +609,14 @@ def _coerce_spec(spec: SumSpec | str) -> SumSpec:
 
 def eval_sum(spec: SumSpec | str, digits: int = 30,
              max_terms: int | None = None) -> PrecReal:
-    """Evaluate the infinite sum described by `spec` to `digits` digits.
-
-    The value is computed independently at two staggered precisions; the
-    runs must agree within the claimed accuracy or, after one retry with
-    raised internal thresholds, AccelerationError is raised.
-    """
+    """Evaluate the infinite sum described by `spec` to `digits` digits,
+    certified by `kernel.certified`."""
     spec = _coerce_spec(spec)
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
     if not spec.converges():
         raise DivergentSumError(f"{spec} diverges")
-    limit = DEFAULT_MAX_TERMS if max_terms is None else max_terms
-    last_exc: AccelerationError | None = None
-    for boost in (0, 1):
-        budget = _Budget(limit)
-        try:
-            lo = _eval_raw(spec, digits + GUARD_DIGITS, budget, boost)
-            hi = _eval_raw(spec, digits + GUARD_DIGITS + 10, budget, boost)
-        except AccelerationError as exc:
-            last_exc = exc
-            continue
-        with mp.workdps(digits + GUARD_DIGITS):
-            tol = mp.mpf(10) ** (1 - digits) * max(mp.mpf(1), abs(hi))
-            if abs(lo - hi) <= tol:
-                return PrecReal(hi, digits)
-    detail = f" ({last_exc})" if last_exc is not None else ""
-    raise AccelerationError(
-        f"could not certify {digits} digits for {spec}{detail}"
-    ) from last_exc
+    return certified(
+        lambda dps, budget, boost: _eval_raw(spec, dps, budget, boost),
+        digits, spec, max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -694,46 +658,16 @@ def _polylog_mpf(p: int, x: mp.mpf, ws: _Workspace) -> mp.mpf:
 
 def eval_polylog(p: int, x, digits: int = 30) -> PrecReal:
     """Polylogarithm of integer order p >= 1 at real x, |x| <= 1."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    dps = digits + GUARD_DIGITS
-    with mp.workdps(dps):
-        val = _polylog_mpf(p, mp.mpf(_to_mpf_arg(x)), _workspace(dps, 0))
-    return PrecReal(val, digits)
+    return certified(
+        lambda dps, budget, boost:
+            _polylog_mpf(p, _to_mpf_arg(x), _workspace(dps, boost)),
+        digits, f"Li_{p}({x})")
 
 
 def _to_mpf_arg(x):
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
     return mp.mpf(x)
-
-
-def polylog_moment(q: int, x, n: int, digits: int = 30) -> PrecReal:
-    """sum_{m>=1} x**(m+n) / (m**q (m+n)), via the polylog closed form."""
-    if q < 1 or n < 1:
-        raise ValueError("need q >= 1 and n >= 1")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    dps = digits + GUARD_DIGITS
-    with mp.workdps(dps):
-        xv = _to_mpf_arg(x)
-        if not -1 <= xv < 1:
-            raise ValueError("argument must lie in [-1, 1)")
-        ws = _workspace(dps, 0)
-        nv = mp.mpf(n)
-        xn = xv ** n
-        acc = mp.mpf(0)
-        for i in range(1, q):
-            acc += (-1) ** (i - 1) * xn * nv ** -i * _polylog_mpf(q + 1 - i, xv, ws)
-        sign = (-1) ** q
-        acc += sign * nv ** -q * mp.ln(1 - xv) * (xn - 1)
-        partial = mp.mpf(0)
-        xj = mp.mpf(1)
-        for j in range(1, n + 1):
-            xj *= xv
-            partial += xj / j
-        acc -= sign * nv ** -q * partial
-    return PrecReal(acc, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -758,35 +692,31 @@ def eval_I(p: int, q: int, x=1, digits: int = 30,
     """
     if p < 1 or q < 1:
         raise ValueError("need p >= 1 and q >= 1")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
     w = p + q
-    dps = digits + GUARD_DIGITS
-    with mp.workdps(dps):
+
+    def run(dps: int, budget: Budget, boost: int) -> mp.mpf:
         xv = _to_mpf_arg(x)
         if abs(xv) > 1:
             raise ValueError("argument must satisfy |x| <= 1")
-        ws = _workspace(dps, 0)
+        ws = _workspace(dps, boost)
+        acc = mp.mpf(0)
         if xv == 1:
-            acc = mp.mpf(0)
             for j in range(2, q + 1):
                 acc += (-1) ** (q - j) * ws.zeta(j) * ws.zeta(w + 1 - j)
             inner = eval_sum(_harmonic_spec(w), digits + 6,
                              max_terms=max_terms)
-            acc += (-1) ** (q - 1) * mp.mpf(inner.value)
-        elif xv == -1:
-            acc = mp.mpf(0)
+            return acc + (-1) ** (q - 1) * inner.value
+        if xv == -1:
             for j in range(1, q + 1):
                 acc += (-1) ** (q - j) * ws.zetabar(j) * ws.zetabar(w + 1 - j)
             plain = eval_sum(_l1_spec(w), digits + 6, max_terms=max_terms)
-            acc += (-1) ** q * (mp.mpf(plain.value) - ws.ln2 * ws.zeta(w))
-        else:
-            acc = mp.mpf(0)
-            for j in range(1, q + 1):
-                acc += ((-1) ** (q - j) * _polylog_mpf(j, xv, ws)
-                        * _polylog_mpf(w + 1 - j, xv, ws))
-            acc += (-1) ** q * _log_tail_series(xv, w, ws)
-    return PrecReal(acc, digits)
+            return acc + (-1) ** q * (plain.value - ws.ln2 * ws.zeta(w))
+        for j in range(1, q + 1):
+            acc += ((-1) ** (q - j) * _polylog_mpf(j, xv, ws)
+                    * _polylog_mpf(w + 1 - j, xv, ws))
+        return acc + (-1) ** q * _log_tail_series(xv, w, ws)
+
+    return certified(run, digits, f"I({p},{q};{x})", max_terms)
 
 
 def _log_tail_series(xv: mp.mpf, w: int, ws: _Workspace) -> mp.mpf:
@@ -821,19 +751,18 @@ def eval_R(p: int, q: int, digits: int = 30,
     """
     if p < 1 or q < 1:
         raise ValueError("need p >= 1 and q >= 1")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
     w = p + q
-    dps = digits + GUARD_DIGITS
-    with mp.workdps(dps):
-        ws = _workspace(dps, 0)
+
+    def run(dps: int, budget: Budget, boost: int) -> mp.mpf:
+        ws = _workspace(dps, boost)
         acc = mp.mpf(0)
         for j in range(1, q + 1):
             acc -= (-1) ** (q - j) * ws.zetabar(j) * ws.zeta(w + 1 - j)
         alt = eval_sum(_l1_spec(w, alternating=True), digits + 6,
                        max_terms=max_terms)
-        acc += (-1) ** q * (ws.ln2 * ws.zetabar(w) - mp.mpf(alt.value))
-    return PrecReal(acc, digits)
+        return acc + (-1) ** q * (ws.ln2 * ws.zetabar(w) - alt.value)
+
+    return certified(run, digits, f"R({p},{q})", max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -850,8 +779,6 @@ def eval_series(factors: Sequence[tuple[int, Rational]], power: int, z: Rational
     with any |x_i| <= 1 (direct summation); and z = +-1 with one factor of
     |x| < 1 (summation order swapped).
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
     facs = [(int(l), Fraction(x)) for l, x in factors]
     for l, x in facs:
         if l < 1:
@@ -872,25 +799,23 @@ def eval_series(factors: Sequence[tuple[int, Rational]], power: int, z: Rational
         if not spec.converges():
             raise DivergentSumError("series diverges")
         sign = (-1) ** neg * (-1 if zf == -1 else 1)
-        inner = eval_sum(spec, digits, max_terms=max_terms)
-        with mp.workdps(digits + GUARD_DIGITS):
-            return PrecReal(sign * mp.mpf(inner.value), digits)
 
-    dps = digits + GUARD_DIGITS
-    if abs(zf) < 1:
-        with mp.workdps(dps):
-            val = _series_direct(facs, power, zf, _workspace(dps, 0))
-        return PrecReal(val, digits)
-    if len(facs) == 1 and abs(facs[0][1]) < 1:
-        with mp.workdps(dps):
-            val = _series_swapped(facs[0], power, zf, _workspace(dps, 0))
-        return PrecReal(val, digits)
-    if sum(1 for _, x in facs if abs(x) < 1) == 1:
-        with mp.workdps(dps):
-            val = _series_mixed(facs, power, zf, digits, max_terms,
-                                _workspace(dps, 0))
-        return PrecReal(val, digits)
-    raise ValueError("unsupported argument combination for eval_series")
+        def run(dps, budget, boost):
+            return sign * _eval_raw(spec, dps, budget, boost)
+    elif abs(zf) < 1:
+        def run(dps, budget, boost):
+            return _series_direct(facs, power, zf, _workspace(dps, boost))
+    elif len(facs) == 1 and abs(facs[0][1]) < 1:
+        def run(dps, budget, boost):
+            return _series_swapped(facs[0], power, zf, _workspace(dps, boost))
+    elif sum(1 for _, x in facs if abs(x) < 1) == 1:
+        def run(dps, budget, boost):
+            return _series_mixed(facs, power, zf, max_terms,
+                                 _workspace(dps, boost))
+    else:
+        raise ValueError("unsupported argument combination for eval_series")
+    weights = "*".join(f"w({l},{x})" for l, x in facs)
+    return certified(run, digits, f"{weights}*({zf})^n/n^{power}", max_terms)
 
 
 def _series_direct(facs, power: int, zf: Fraction, ws: _Workspace) -> mp.mpf:
@@ -960,8 +885,8 @@ def _series_swapped(fac: tuple[int, Fraction], power: int, zf: Fraction,
     return acc
 
 
-def _series_mixed(facs, power: int, zf: Fraction, digits: int,
-                  max_terms: int | None, ws: _Workspace) -> mp.mpf:
+def _series_mixed(facs, power: int, zf: Fraction, max_terms: int | None,
+                  ws: _Workspace) -> mp.mpf:
     """z = +-1 with exactly one |x| < 1 factor among +-1 co-factors.
 
     Splitting w_n(l, x) = Li_l(x) - t_n with t_n = sum_{k>n} x**k/k**l
@@ -1019,30 +944,27 @@ def _series_mixed(facs, power: int, zf: Fraction, digits: int,
 # ---------------------------------------------------------------------------
 
 
-def _const(digits: int, maker) -> PrecReal:
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    dps = digits + GUARD_DIGITS
-    with mp.workdps(dps):
-        val = maker(_workspace(dps, 0))
-    return PrecReal(val, digits)
+def _const(digits: int, what: str, maker) -> PrecReal:
+    return certified(
+        lambda dps, budget, boost: maker(_workspace(dps, boost)),
+        digits, what)
 
 
 def zeta_value(k: int, digits: int = 30) -> PrecReal:
-    return _const(digits, lambda ws: ws.zeta(k))
+    return _const(digits, f"z({k})", lambda ws: ws.zeta(k))
 
 
 def zetabar_value(k: int, digits: int = 30) -> PrecReal:
-    return _const(digits, lambda ws: ws.zetabar(k))
+    return _const(digits, f"zb({k})", lambda ws: ws.zetabar(k))
 
 
 def ln2_value(digits: int = 30) -> PrecReal:
-    return _const(digits, lambda ws: ws.ln2)
+    return _const(digits, "ln2", lambda ws: ws.ln2)
 
 
 def lihalf_value(k: int, digits: int = 30) -> PrecReal:
-    return _const(digits, lambda ws: ws.lihalf(k))
+    return _const(digits, f"lih({k})", lambda ws: ws.lihalf(k))
 
 
 def euler_gamma_value(digits: int = 30) -> PrecReal:
-    return _const(digits, lambda ws: ws.gamma)
+    return _const(digits, "gamma", lambda ws: ws.gamma)

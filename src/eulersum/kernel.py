@@ -6,15 +6,21 @@ of infinite series). Rationals are `fractions.Fraction` under the alias
 `Rational`. Reals are mpmath floats wrapped in `PrecReal`, which records how
 many significant digits the producer actually claims, so downstream
 comparisons never trust noise digits.
+
+mpmath keeps its working precision in process-global state. Every block
+of this package that sets it runs under one process-wide re-entrant lock:
+`certified` for evaluations, `at_dps` for fixed-precision arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import mpmath as mp
 
@@ -24,6 +30,13 @@ Rational = Fraction
 # caller asked for. Large enough to absorb cancellation in the acceleration
 # schemes, small enough not to hurt performance.
 GUARD_DIGITS = 15
+
+# Series terms one evaluation may spend unless the caller passes max_terms.
+DEFAULT_MAX_TERMS = 10 ** 6
+
+# Held while mpmath's global precision is set, and by the once-only
+# self-checks, which call back into evaluations (hence re-entrant).
+LOCK = threading.RLock()
 
 
 class EulerSumError(Exception):
@@ -54,10 +67,25 @@ class UnsupportedReductionError(EulerSumError):
     """No implemented identity covers the requested reduction."""
 
 
+class Budget:
+    """Counts series-term evaluations so runaway requests fail loudly."""
+
+    __slots__ = ("remaining",)
+
+    def __init__(self, limit: int):
+        self.remaining = limit
+
+    def spend(self, n: int = 1) -> None:
+        self.remaining -= n
+        if self.remaining < 0:
+            raise AccelerationError(
+                "term budget exhausted; raise --max-terms for this request")
+
+
 @contextmanager
-def working_dps(digits: int):
-    """Run a block at `digits` + GUARD_DIGITS decimal digits of precision."""
-    with mp.workdps(digits + GUARD_DIGITS):
+def at_dps(dps: int):
+    """Run a block at `dps` decimal digits, holding the precision lock."""
+    with LOCK, mp.workdps(dps):
         yield
 
 
@@ -98,7 +126,7 @@ class PrecReal:
             raise ValueError(
                 f"cannot compare to {digits} digits: only {claimed} are claimed"
             )
-        with mp.workdps(claimed + GUARD_DIGITS):
+        with at_dps(claimed + GUARD_DIGITS):
             diff = abs(self.value - mp.mpf(oval))
             scale = max(1, abs(self.value))
             return diff <= mp.mpf(10) ** (1 - digits) * scale
@@ -106,8 +134,44 @@ class PrecReal:
 
 def fmt_significant(x, digits: int) -> str:
     """Render x with `digits` significant digits, mpmath-style."""
-    with mp.workdps(digits + GUARD_DIGITS):
+    with at_dps(digits + GUARD_DIGITS):
         return mp.nstr(mp.mpf(x), digits, strip_zeros=False)
+
+
+def certified(run: Callable[[int, Budget, int], mp.mpf], digits: int,
+              what: object, max_terms: int | None = None) -> PrecReal:
+    """Evaluate to `digits` certified digits with `run(dps, budget, boost)`.
+
+    `run` computes one uncertified value at the current precision `dps`.
+    It runs at two staggered precisions, each under `at_dps` and spending
+    from one term budget of `max_terms`; the two values must agree to the
+    claimed digits. A failed agreement or AccelerationError
+    retries once with boost 1, which raises the run's internal
+    thresholds, and then raises AccelerationError naming `what`.
+    """
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    limit = DEFAULT_MAX_TERMS if max_terms is None else max_terms
+    lo_dps = digits + GUARD_DIGITS
+    last_exc: AccelerationError | None = None
+    for boost in (0, 1):
+        budget = Budget(limit)
+        try:
+            with at_dps(lo_dps):
+                lo = run(lo_dps, budget, boost)
+            with at_dps(lo_dps + 10):
+                hi = run(lo_dps + 10, budget, boost)
+        except AccelerationError as exc:
+            last_exc = exc
+            continue
+        with at_dps(lo_dps):
+            tol = mp.mpf(10) ** (1 - digits) * max(mp.mpf(1), abs(hi))
+            if abs(lo - hi) <= tol:
+                return PrecReal(hi, digits)
+    detail = f" ({last_exc})" if last_exc is not None else ""
+    raise AccelerationError(
+        f"could not certify {digits} digits for {what}{detail}"
+    ) from last_exc
 
 
 def binomial_exact(n: int, k: int) -> int:

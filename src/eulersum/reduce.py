@@ -28,7 +28,6 @@ package interface; code never derives anything from their spelling.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -37,11 +36,13 @@ from mpmath import mp
 
 from .kernel import (
     GUARD_DIGITS,
+    LOCK,
     DivergentSumError,
     EulerSumError,
     PrecReal,
     Rational,
     UnsupportedReductionError,
+    at_dps,
     binomial_exact,
     mpf_from_fraction,
 )
@@ -235,13 +236,12 @@ _TABLE_CHECK_DIGITS = 25
 _TABLE: dict[str, SymbolicValue] = {
     format_sumspec(parse_sumspec(key)): parse_symbolic(text)
     for key, text in _FROZEN_ENTRIES.items()}
-_TABLE_LOCK = threading.Lock()
 _TABLE_CHECKED = False
 
 
 def _table_lookup(spec: SumSpec | str) -> SymbolicValue | None:
     global _TABLE_CHECKED
-    with _TABLE_LOCK:
+    with LOCK:
         if not _TABLE_CHECKED:
             digits = _TABLE_CHECK_DIGITS + 5
             for key, value in _TABLE.items():
@@ -400,7 +400,7 @@ class Identity:
     def numeric_lhs(self, digits: int = 30,
                     max_terms: int | None = None) -> PrecReal:
         inner = digits + 10
-        with mp.workdps(inner + GUARD_DIGITS):
+        with at_dps(inner + GUARD_DIGITS):
             acc = mp.mpf(0)
             for spec, coeff in self.lhs:
                 val = eval_sum(spec, inner, max_terms=max_terms)
@@ -496,7 +496,7 @@ class STerm:
 def _sterm_numeric(term: STerm, digits: int,
                    max_terms: int | None) -> mp.mpf:
     """Value of one series-identity term at working precision `digits`."""
-    with mp.workdps(digits + GUARD_DIGITS):
+    with at_dps(digits + GUARD_DIGITS):
         val = mpf_from_fraction(term.coeff)
         for order, arg in term.polylogs:
             if order == 1 and arg == 1:
@@ -608,7 +608,7 @@ class SeriesIdentity:
               max_terms: int | None) -> PrecReal:
         terms = self.instantiate(args)[which]
         inner = digits + 10
-        with mp.workdps(inner + GUARD_DIGITS):
+        with at_dps(inner + GUARD_DIGITS):
             acc = mp.mpf(0)
             for term in terms:
                 acc += _sterm_numeric(term, inner, max_terms)

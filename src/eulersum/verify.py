@@ -26,6 +26,7 @@ from .kernel import (
     GUARD_DIGITS,
     AccelerationError,
     PrecReal,
+    at_dps,
     fmt_significant,
 )
 from .engine import eval_sum, eval_I, eval_R, lihalf_value
@@ -128,7 +129,7 @@ class VerificationReport:
 
 def _report(provenance: str, lhs: PrecReal, rhs: PrecReal, digits: int,
             negative_control: bool, t0: float, note: str = "") -> VerificationReport:
-    with mp.workdps(digits + GUARD_DIGITS):
+    with at_dps(digits + GUARD_DIGITS):
         lv = mp.mpf(lhs.value)
         rv = mp.mpf(rhs.value)
         diff = abs(lv - rv)
@@ -203,7 +204,7 @@ def table_constants() -> list[tuple[str, str, str, int]]:
 
 
 def _printed_value(text: str, digits: int) -> PrecReal:
-    with mp.workdps(len(text) + 10):
+    with at_dps(len(text) + 10):
         return PrecReal(mp.mpf(text), digits)
 
 
@@ -249,7 +250,7 @@ _BRUTE_PAIRS: tuple[tuple[int, int], ...] = tuple(
 def _brute_partials() -> dict[tuple[int, int], mp.mpf]:
     """One shared pass: sum_{n<=N} w_n(p)/n^q for every catalog pair,
     where w_n(p) is the plain harmonic partial sum of order p."""
-    with mp.workdps(_BRUTE_DPS):
+    with at_dps(_BRUTE_DPS):
         orders = sorted({p for p, _ in _BRUTE_PAIRS})
         qmax = max(q for _, q in _BRUTE_PAIRS)
         run = {p: mp.mpf(0) for p in orders}
@@ -292,7 +293,7 @@ def brute_euler(k: int, digits: int = 16) -> PrecReal:
     """Reference value of sum_n H_n/n^k by direct summation plus tails."""
     if not 2 <= k <= 8:
         raise ValueError("brute table covers k = 2..8")
-    with mp.workdps(_BRUTE_DPS):
+    with at_dps(_BRUTE_DPS):
         val = _brute_partials()[(1, k)] + _brute_tail(1, k)
     return PrecReal(val, digits)
 
@@ -301,7 +302,7 @@ def brute_fs(p: int, q: int, digits: int = 16) -> PrecReal:
     """Reference value of sum_n w_n(p)/n^q for the catalog pairs."""
     if (p, q) not in _BRUTE_PAIRS:
         raise ValueError(f"brute table has no pair ({p},{q})")
-    with mp.workdps(_BRUTE_DPS):
+    with at_dps(_BRUTE_DPS):
         val = _brute_partials()[(p, q)] + _brute_tail(p, q)
     return PrecReal(val, digits)
 

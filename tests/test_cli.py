@@ -1,9 +1,12 @@
 """Command-line interface: output contracts and exit codes."""
 import json
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+import eulersum.cli as cli
+from eulersum.algebra import sv_add, sv_rational
 from eulersum.cli import main
 
 
@@ -64,6 +67,20 @@ def test_reduce_text_and_cross_check(capsys):
     assert code == 0
     assert "z(" in out
     assert "cross-check delta" in out
+
+
+def test_reduce_exits_3_when_cross_check_fails(capsys, monkeypatch):
+    # a reduction off by 1e-20 must fail the 25-digit cross-check
+    true_reduction = cli.reduce_quadratic
+    monkeypatch.setattr(
+        cli, "reduce_quadratic",
+        lambda spec: sv_add(true_reduction(spec),
+                            sv_rational(Fraction(1, 10 ** 20))))
+    code, out, err = run(capsys, "reduce", "h(2)*h(3)/n alt",
+                         "--digits", "25")
+    assert code == 3
+    assert "cross-check delta" in out
+    assert "disagrees" in err
 
 
 def test_reduce_json_reduction_agrees_with_eval(capsys):

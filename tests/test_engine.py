@@ -14,7 +14,8 @@ import mpmath as mp
 import pytest
 
 from helpers import close_digits
-from eulersum.kernel import AccelerationError, DivergentSumError, PrecReal
+from eulersum.kernel import (AccelerationError, Budget, DivergentSumError,
+                             PrecReal, fmt_significant)
 from eulersum import engine as engine_module
 from eulersum.engine import (
     DEFAULT_MAX_TERMS,
@@ -146,6 +147,62 @@ def test_beta_coeffs_concurrent_fill():
         assert raced == engine_module._beta_coeffs(k, 120)[:121]
 
 
+def test_eval_sum_is_thread_safe():
+    # threads formatting and evaluating through the library while a cold
+    # evaluation runs must neither break it nor change its value; three
+    # threads beside the main one outnumber a 2-core machine's cores
+    jobs = [("h(1)*h(3)/n alt", 60), ("h(2)^2/n^3 alt", 30)]
+    serial = [eval_sum(spec, digits).value for spec, digits in jobs]
+    engine_module._workspace.cache_clear()
+    engine_module._raw_slot.cache_clear()
+    stop = threading.Event()
+    side: list = []
+
+    def churn():
+        while not stop.is_set():
+            fmt_significant(mp.mpf(1) / 3, 5)
+
+    def evaluate():
+        try:
+            side.append(eval_sum(*jobs[1]).value)
+        except AccelerationError as exc:
+            side.append(exc)
+
+    threads = [threading.Thread(target=churn) for _ in range(2)]
+    threads.append(threading.Thread(target=evaluate))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        got = eval_sum(*jobs[0]).value
+    finally:
+        threads[-1].join(timeout=60)
+        stop.set()
+        for t in threads:
+            t.join(timeout=60)
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert [got] + side == serial
+
+
+def test_public_evaluators_refuse_precision_drift(monkeypatch):
+    # an inner run whose error scales with its working precision must be
+    # caught by the staggered runs, not returned as certified digits
+    polylog = engine_module._polylog_mpf
+    monkeypatch.setattr(
+        engine_module, "_polylog_mpf",
+        lambda p, x, ws: polylog(p, x, ws) + mp.mpf(10) ** (20 - ws.dps))
+    with pytest.raises(AccelerationError):
+        eval_polylog(2, 0.5, 30)
+    zeta = engine_module._Workspace.zeta
+    monkeypatch.setattr(
+        engine_module._Workspace, "zeta",
+        lambda ws, k: zeta(ws, k) + mp.mpf(10) ** (20 - ws.dps))
+    with pytest.raises(AccelerationError):
+        zeta_value(3, 30)
+
+
 def test_short_tail_expansion_is_refused():
     # an expansion cut before its orders reach the target must raise, not
     # return the truncated sum
@@ -153,7 +210,7 @@ def test_short_tail_expansion_is_refused():
         ws = engine_module._Workspace(45)
         ws.tail_orders = 4
         piece, = engine_module._pieces(parse_sumspec("h(1)/n^4"), ws)
-        budget = engine_module._Budget(DEFAULT_MAX_TERMS)
+        budget = Budget(DEFAULT_MAX_TERMS)
         with pytest.raises(AccelerationError):
             engine_module._head_tail_sum(ws, piece, budget, mp.mpf(10) ** -43)
 

@@ -12,11 +12,11 @@ from eulersum.kernel import (
     PrecReal,
     SumSpecSyntaxError,
     UnsupportedReductionError,
+    at_dps,
     bernoulli_frac,
     binomial_exact,
     fmt_significant,
     mpf_from_fraction,
-    working_dps,
     zeta_even_rational,
 )
 
@@ -93,7 +93,7 @@ def test_mpf_from_fraction():
 
 def test_working_dps_scopes_precision():
     before = mp.mp.dps
-    with working_dps(60):
+    with at_dps(60):
         assert mp.mp.dps >= 60
     assert mp.mp.dps == before
 
