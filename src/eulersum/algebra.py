@@ -30,12 +30,11 @@ from typing import Iterable, Iterator, Mapping, Union
 from mpmath import mp
 
 from .kernel import (
-    GUARD_DIGITS,
     LOCK,
     EulerSumError,
     PrecReal,
     Rational,
-    at_dps,
+    certified,
     mpf_from_fraction,
     zeta_even_rational,
 )
@@ -435,42 +434,50 @@ def fold_even_zetas(v: SymbolicValue) -> SymbolicValue:
 # Numeric evaluation
 # ---------------------------------------------------------------------------
 
+def _atom_raw(a: Atom, dps: int, budget, boost: int) -> mp.mpf:
+    # one uncertified value of an atom, as an engine run function
+    if a.tag == "ls":
+        assert a.spec is not None
+        return engine._eval_raw(a.spec, dps, budget, boost)
+    ws = engine._workspace(dps, boost)
+    if a.tag == "z":
+        return ws.zeta(a.order)
+    if a.tag == "zb":
+        return ws.zetabar(a.order)
+    if a.tag == "ln2":
+        return ws.ln2
+    return ws.lihalf(a.order)
+
+
 def atom_numeric(a: Atom, digits: int = 30,
                  max_terms: int | None = None) -> PrecReal:
     """Numeric value of one atom to `digits` significant digits."""
-    if a.tag == "z":
-        return engine.zeta_value(a.order, digits)
-    if a.tag == "zb":
-        return engine.zetabar_value(a.order, digits)
-    if a.tag == "ln2":
-        return engine.ln2_value(digits)
-    if a.tag == "lih":
-        return engine.lihalf_value(a.order, digits)
-    assert a.spec is not None
-    return engine.eval_sum(a.spec, digits, max_terms=max_terms)
+    return certified(lambda dps, budget, boost:
+                     _atom_raw(a, dps, budget, boost),
+                     digits, a.text(), max_terms)
 
 
 def sv_numeric(v: SymbolicValue, digits: int = 30,
                max_terms: int | None = None) -> PrecReal:
     """Evaluate a symbolic value numerically to `digits` significant digits.
 
-    Atoms are evaluated with extra guard digits so that products and modest
-    cancellation between terms cannot eat into the claimed accuracy; each
-    sum atom's evaluation gets the term budget `max_terms`.
+    The whole combination is one run of `kernel.certified`: its two
+    staggered runs evaluate every atom uncertified and combine them, and
+    the agreement check applies to the combined value, under one term
+    budget of `max_terms` for all sum atoms. A combination that cancels
+    more digits than the two runs' precision gap raises AccelerationError
+    instead of returning digits it does not have.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    inner = digits + 10
-    with at_dps(inner + GUARD_DIGITS):
+    def run(dps: int, budget, boost: int) -> mp.mpf:
         total = mp.mpf(0)
         for mono, coeff in v.terms:
             term = mpf_from_fraction(coeff)
             for atom, exp in mono.powers:
-                val = atom_numeric(atom, inner, max_terms=max_terms)
-                term *= val.value ** exp
+                term *= _atom_raw(atom, dps, budget, boost) ** exp
             total += term
-        result = +total
-    return PrecReal(result, digits)
+        return total
+
+    return certified(run, digits, v, max_terms)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,10 @@ Every public evaluator is a run function handed to `kernel.certified`,
 which owns precision and certification: it runs the function at two
 staggered precisions under the process-wide precision lock, compares the
 two values to the claimed digits, retries once with raised internal
-thresholds (boost 1), and otherwise raises AccelerationError.
+thresholds (boost 1), and otherwise raises AccelerationError. Run
+functions compose: one built from others (`eval_I` at x = +-1 over
+`_eval_raw`, say) calls them uncertified and spends the one term budget
+of its request, so a derived value is certified once, as a whole.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .kernel import (
     DivergentSumError,
     PrecReal,
     Rational,
+    Run,
     binomial_exact,
     bernoulli_frac,
     certified,
@@ -211,13 +215,6 @@ class _Workspace:
 
         corr = self._adaptive_tail(terms(), target, "harmonic expansion")
         return mp.ln(nv) + self.gamma + 1 / (2 * nv) + corr
-
-    def beta_value(self, k: int, x) -> mp.mpf:
-        """beta(k, x) = sum_{i>=0} (-1)**i (x+i)**-k for x >= 1."""
-        if x >= math.ceil(1.5 * self.dps) + 10:
-            return self._beta_asym(k, x)
-        a = lambda i: (mp.mpf(x) + i) ** -k
-        return _cvz_sum(a, int(self.cvz_factor * self.dps) + 12)
 
     def _beta_asym(self, k: int, x) -> mp.mpf:
         xv = mp.mpf(x)
@@ -592,6 +589,8 @@ def _eval_raw(spec: SumSpec, dps: int, budget: Budget, boost: int) -> mp.mpf:
     """One uncertified run. A cached value spends the terms its cold run
     spent, so whether a request fits its budget never depends on what the
     process evaluated before."""
+    if not spec.converges():
+        raise DivergentSumError(f"{spec} diverges")
     slot = _raw_slot(str(spec), dps, boost)
     if slot:
         val, cost = slot[0]
@@ -603,17 +602,11 @@ def _eval_raw(spec: SumSpec, dps: int, budget: Budget, boost: int) -> mp.mpf:
     return val
 
 
-def _coerce_spec(spec: SumSpec | str) -> SumSpec:
-    return parse_sumspec(spec) if isinstance(spec, str) else spec
-
-
 def eval_sum(spec: SumSpec | str, digits: int = 30,
              max_terms: int | None = None) -> PrecReal:
     """Evaluate the infinite sum described by `spec` to `digits` digits,
     certified by `kernel.certified`."""
-    spec = _coerce_spec(spec)
-    if not spec.converges():
-        raise DivergentSumError(f"{spec} diverges")
+    spec = parse_sumspec(spec) if isinstance(spec, str) else spec
     return certified(
         lambda dps, budget, boost: _eval_raw(spec, dps, budget, boost),
         digits, spec, max_terms)
@@ -624,7 +617,7 @@ def eval_sum(spec: SumSpec | str, digits: int = 30,
 # ---------------------------------------------------------------------------
 
 
-def _polylog_mpf(p: int, x: mp.mpf, ws: _Workspace) -> mp.mpf:
+def _polylog_mpf(p: int, x: mp.mpf, ws: _Workspace, budget: Budget) -> mp.mpf:
     if p < 1:
         raise ValueError("polylog order must be >= 1")
     if x == 1:
@@ -642,6 +635,7 @@ def _polylog_mpf(p: int, x: mp.mpf, ws: _Workspace) -> mp.mpf:
         xn = mp.mpf(1)
         n = 1
         while True:
+            budget.spend()
             xn *= x
             acc += xn / mp.mpf(n) ** p
             if abs(xn) / (1 - abs(x)) < mp.eps * max(abs(acc), abs(x)) / 8:
@@ -649,19 +643,29 @@ def _polylog_mpf(p: int, x: mp.mpf, ws: _Workspace) -> mp.mpf:
             n += 1
     if x > 0:
         # square the argument toward the small-|x| range
-        return mp.mpf(2) ** (1 - p) * _polylog_mpf(p, x * x, ws) \
-            - _polylog_mpf(p, -x, ws)
+        return mp.mpf(2) ** (1 - p) * _polylog_mpf(p, x * x, ws, budget) \
+            - _polylog_mpf(p, -x, ws, budget)
     ax = -x
-    a = lambda k: ax ** (k + 1) / mp.mpf(k + 1) ** p
+
+    def a(k: int) -> mp.mpf:
+        budget.spend()
+        return ax ** (k + 1) / mp.mpf(k + 1) ** p
+
     return -_cvz_sum(a, int(ws.cvz_factor * ws.dps) + 12)
+
+
+# The builders below check their arguments once and return a run function
+# (see `kernel.Run`); each public evaluator hands one to `certified`.
+
+
+def _polylog_run(p: int, x) -> Run:
+    return lambda dps, budget, boost: \
+        _polylog_mpf(p, _to_mpf_arg(x), _workspace(dps, boost), budget)
 
 
 def eval_polylog(p: int, x, digits: int = 30) -> PrecReal:
     """Polylogarithm of integer order p >= 1 at real x, |x| <= 1."""
-    return certified(
-        lambda dps, budget, boost:
-            _polylog_mpf(p, _to_mpf_arg(x), _workspace(dps, boost)),
-        digits, f"Li_{p}({x})")
+    return certified(_polylog_run(p, x), digits, f"Li_{p}({x})")
 
 
 def _to_mpf_arg(x):
@@ -683,6 +687,35 @@ def _l1_spec(power: int, alternating: bool = False) -> SumSpec:
     return SumSpec((Factor("l", 1),), power, alternating)
 
 
+def _I_run(p: int, q: int, x) -> Run:
+    if p < 1 or q < 1:
+        raise ValueError("need p >= 1 and q >= 1")
+    if abs(x) > 1:
+        raise ValueError("argument must satisfy |x| <= 1")
+    w = p + q
+
+    def run(dps: int, budget: Budget, boost: int) -> mp.mpf:
+        xv = _to_mpf_arg(x)
+        ws = _workspace(dps, boost)
+        acc = mp.mpf(0)
+        if xv == 1:
+            for j in range(2, q + 1):
+                acc += (-1) ** (q - j) * ws.zeta(j) * ws.zeta(w + 1 - j)
+            inner = _eval_raw(_harmonic_spec(w), dps, budget, boost)
+            return acc + (-1) ** (q - 1) * inner
+        if xv == -1:
+            for j in range(1, q + 1):
+                acc += (-1) ** (q - j) * ws.zetabar(j) * ws.zetabar(w + 1 - j)
+            plain = _eval_raw(_l1_spec(w), dps, budget, boost)
+            return acc + (-1) ** q * (plain - ws.ln2 * ws.zeta(w))
+        for j in range(1, q + 1):
+            acc += ((-1) ** (q - j) * _polylog_mpf(j, xv, ws, budget)
+                    * _polylog_mpf(w + 1 - j, xv, ws, budget))
+        return acc + (-1) ** q * _log_tail_series(xv, w, ws, budget)
+
+    return run
+
+
 def eval_I(p: int, q: int, x=1, digits: int = 30,
            max_terms: int | None = None) -> PrecReal:
     """sum_{k,m>=1} x**(k+m) / (k**p m**q (k+m)) for -1 <= x <= 1.
@@ -690,36 +723,11 @@ def eval_I(p: int, q: int, x=1, digits: int = 30,
     The inner index is resolved exactly by the partial-fraction split of
     1/(m**q (m+k)), leaving polylog products plus a single tail series.
     """
-    if p < 1 or q < 1:
-        raise ValueError("need p >= 1 and q >= 1")
-    w = p + q
-
-    def run(dps: int, budget: Budget, boost: int) -> mp.mpf:
-        xv = _to_mpf_arg(x)
-        if abs(xv) > 1:
-            raise ValueError("argument must satisfy |x| <= 1")
-        ws = _workspace(dps, boost)
-        acc = mp.mpf(0)
-        if xv == 1:
-            for j in range(2, q + 1):
-                acc += (-1) ** (q - j) * ws.zeta(j) * ws.zeta(w + 1 - j)
-            inner = eval_sum(_harmonic_spec(w), digits + 6,
-                             max_terms=max_terms)
-            return acc + (-1) ** (q - 1) * inner.value
-        if xv == -1:
-            for j in range(1, q + 1):
-                acc += (-1) ** (q - j) * ws.zetabar(j) * ws.zetabar(w + 1 - j)
-            plain = eval_sum(_l1_spec(w), digits + 6, max_terms=max_terms)
-            return acc + (-1) ** q * (plain.value - ws.ln2 * ws.zeta(w))
-        for j in range(1, q + 1):
-            acc += ((-1) ** (q - j) * _polylog_mpf(j, xv, ws)
-                    * _polylog_mpf(w + 1 - j, xv, ws))
-        return acc + (-1) ** q * _log_tail_series(xv, w, ws)
-
-    return certified(run, digits, f"I({p},{q};{x})", max_terms)
+    return certified(_I_run(p, q, x), digits, f"I({p},{q};{x})", max_terms)
 
 
-def _log_tail_series(xv: mp.mpf, w: int, ws: _Workspace) -> mp.mpf:
+def _log_tail_series(xv: mp.mpf, w: int, ws: _Workspace,
+                     budget: Budget) -> mp.mpf:
     """sum_{k>=1} tail_k / k**w with tail_k = sum_{j>k} x**j / j, |x| < 1."""
     ax = abs(xv)
     kmax = int(mp.ceil((ws.dps + 6) * mp.ln(10) / mp.ln(1 / ax))) + 8
@@ -728,6 +736,7 @@ def _log_tail_series(xv: mp.mpf, w: int, ws: _Workspace) -> mp.mpf:
     xj = xv ** (kmax + 1)
     j = kmax + 1
     while True:
+        budget.spend()
         tail += xj / j
         if ax ** (j + 1) / (1 - ax) < mp.eps * ax ** (kmax + 1) / 8:
             break
@@ -736,19 +745,14 @@ def _log_tail_series(xv: mp.mpf, w: int, ws: _Workspace) -> mp.mpf:
     acc = mp.mpf(0)
     xk = xv ** kmax
     for k in range(kmax, 0, -1):
+        budget.spend()
         acc += tail / mp.mpf(k) ** w
         tail += xk / k
         xk /= xv
     return acc
 
 
-def eval_R(p: int, q: int, digits: int = 30,
-           max_terms: int | None = None) -> PrecReal:
-    """sum_{k,m>=1} (-1)**m / (k**p m**q (k+m)).
-
-    Same partial-fraction treatment as eval_I, with only the inner index
-    carrying the sign.
-    """
+def _R_run(p: int, q: int) -> Run:
     if p < 1 or q < 1:
         raise ValueError("need p >= 1 and q >= 1")
     w = p + q
@@ -758,11 +762,20 @@ def eval_R(p: int, q: int, digits: int = 30,
         acc = mp.mpf(0)
         for j in range(1, q + 1):
             acc -= (-1) ** (q - j) * ws.zetabar(j) * ws.zeta(w + 1 - j)
-        alt = eval_sum(_l1_spec(w, alternating=True), digits + 6,
-                       max_terms=max_terms)
-        return acc + (-1) ** q * (ws.ln2 * ws.zetabar(w) - alt.value)
+        alt = _eval_raw(_l1_spec(w, alternating=True), dps, budget, boost)
+        return acc + (-1) ** q * (ws.ln2 * ws.zetabar(w) - alt)
 
-    return certified(run, digits, f"R({p},{q})", max_terms)
+    return run
+
+
+def eval_R(p: int, q: int, digits: int = 30,
+           max_terms: int | None = None) -> PrecReal:
+    """sum_{k,m>=1} (-1)**m / (k**p m**q (k+m)).
+
+    Same partial-fraction treatment as eval_I, with only the inner index
+    carrying the sign.
+    """
+    return certified(_R_run(p, q), digits, f"R({p},{q})", max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -770,15 +783,22 @@ def eval_R(p: int, q: int, digits: int = 30,
 # ---------------------------------------------------------------------------
 
 
-def eval_series(factors: Sequence[tuple[int, Rational]], power: int, z: Rational,
-                digits: int = 30, max_terms: int | None = None) -> PrecReal:
-    """sum_n (prod_i w_n(l_i, x_i)) z**n / n**power, where
-    w_n(l, x) = sum_{j<=n} x**j / j**l.
+def _unit_spec(facs, power: int, zf: Fraction) -> tuple[SumSpec, int]:
+    """sum_n prod w_n(l, +-1) z**n / n**power with z = +-1, as sign * spec:
+    w_n(l, 1) is h(l) at n and w_n(l, -1) is -l(l) at n."""
+    spec = SumSpec(
+        tuple(Factor("h" if x == 1 else "l", l) for l, x in facs),
+        power,
+        alternating=(zf == -1),
+    )
+    if not spec.converges():
+        raise DivergentSumError("series diverges")
+    neg = sum(1 for _, x in facs if x == -1)
+    return spec, (-1) ** neg * (-1 if zf == -1 else 1)
 
-    Supported: every argument in {1, -1} (delegates to eval_sum); |z| < 1
-    with any |x_i| <= 1 (direct summation); and z = +-1 with one factor of
-    |x| < 1 (summation order swapped).
-    """
+
+def _series_run(factors: Sequence[tuple[int, Rational]], power: int,
+                z: Rational) -> Run:
     facs = [(int(l), Fraction(x)) for l, x in factors]
     for l, x in facs:
         if l < 1:
@@ -789,36 +809,40 @@ def eval_series(factors: Sequence[tuple[int, Rational]], power: int, z: Rational
     if abs(zf) > 1:
         raise ValueError("outer argument must satisfy |z| <= 1")
 
-    if abs(zf) == 1 and all(abs(x) == 1 for _, x in facs):
-        neg = sum(1 for _, x in facs if x == -1)
-        spec = SumSpec(
-            tuple(Factor("h" if x == 1 else "l", l) for l, x in facs),
-            power,
-            alternating=(zf == -1),
-        )
-        if not spec.converges():
-            raise DivergentSumError("series diverges")
-        sign = (-1) ** neg * (-1 if zf == -1 else 1)
-
-        def run(dps, budget, boost):
-            return sign * _eval_raw(spec, dps, budget, boost)
-    elif abs(zf) < 1:
-        def run(dps, budget, boost):
-            return _series_direct(facs, power, zf, _workspace(dps, boost))
-    elif len(facs) == 1 and abs(facs[0][1]) < 1:
-        def run(dps, budget, boost):
-            return _series_swapped(facs[0], power, zf, _workspace(dps, boost))
-    elif sum(1 for _, x in facs if abs(x) < 1) == 1:
-        def run(dps, budget, boost):
-            return _series_mixed(facs, power, zf, max_terms,
-                                 _workspace(dps, boost))
-    else:
+    if abs(zf) < 1:
+        return lambda dps, budget, boost: \
+            _series_direct(facs, power, zf, _workspace(dps, boost), budget)
+    small = [i for i, (_, x) in enumerate(facs) if abs(x) < 1]
+    if not small:
+        spec, sign = _unit_spec(facs, power, zf)
+        return lambda dps, budget, boost: \
+            sign * _eval_raw(spec, dps, budget, boost)
+    if len(small) > 1:
         raise ValueError("unsupported argument combination for eval_series")
-    weights = "*".join(f"w({l},{x})" for l, x in facs)
-    return certified(run, digits, f"{weights}*({zf})^n/n^{power}", max_terms)
+    fac = facs[small[0]]
+    spec, sign = _unit_spec(facs[:small[0]] + facs[small[0] + 1:], power, zf)
+    return lambda dps, budget, boost: _series_mixed(
+        fac, spec, sign, _workspace(dps, boost), budget)
 
 
-def _series_direct(facs, power: int, zf: Fraction, ws: _Workspace) -> mp.mpf:
+def eval_series(factors: Sequence[tuple[int, Rational]], power: int, z: Rational,
+                digits: int = 30, max_terms: int | None = None) -> PrecReal:
+    """sum_n (prod_i w_n(l_i, x_i)) z**n / n**power, where
+    w_n(l, x) = sum_{j<=n} x**j / j**l.
+
+    Supported: every argument in {1, -1} (the sum `eval_sum` evaluates);
+    |z| < 1 with any |x_i| <= 1 (direct summation); and z = +-1 with
+    exactly one factor of |x| < 1 (the all-unit sum times Li_l(x), plus a
+    geometrically decaying correction).
+    """
+    run = _series_run(factors, power, z)
+    weights = "*".join(f"w({l},{Fraction(x)})" for l, x in factors)
+    return certified(run, digits, f"{weights}*({Fraction(z)})^n/n^{power}",
+                     max_terms)
+
+
+def _series_direct(facs, power: int, zf: Fraction, ws: _Workspace,
+                   budget: Budget) -> mp.mpf:
     zv = _to_mpf_arg(zf)
     az = abs(zv)
     d_log = sum(1 for l, _ in facs if l == 1)
@@ -833,6 +857,7 @@ def _series_direct(facs, power: int, zf: Fraction, ws: _Workspace) -> mp.mpf:
     zn = mp.mpf(1)
     n = 1
     while True:
+        budget.spend()
         term = mp.mpf(n) ** -power
         for i, (l, _) in enumerate(facs):
             xpow[i] *= xs[i]
@@ -850,70 +875,24 @@ def _series_direct(facs, power: int, zf: Fraction, ws: _Workspace) -> mp.mpf:
         n += 1
 
 
-def _series_swapped(fac: tuple[int, Fraction], power: int, zf: Fraction,
-                    ws: _Workspace) -> mp.mpf:
-    l, x = fac
-    xv = _to_mpf_arg(x)
-    ax = abs(xv)
-    if zf == 1 and power < 2:
-        raise DivergentSumError("series diverges")
-    if ax == 0:
-        return mp.mpf(0)
-    jmax = int(mp.ceil((ws.dps + 8) * mp.ln(10) / mp.ln(1 / ax))) + 8
-    if zf == 1:
-        # T(j) = sum_{i>j} i**-power, filled downward from the deep tail
-        tails = [mp.mpf(0)] * (jmax + 1)
-        tails[jmax] = ws.zeta_tail(power, jmax + 1)
-        for j in range(jmax, 0, -1):
-            tails[j - 1] = tails[j] + mp.mpf(j) ** -power
-        acc = mp.mpf(0)
-        xj = mp.mpf(1)
-        for j in range(1, jmax + 1):
-            xj *= xv
-            acc += xj / mp.mpf(j) ** l * tails[j - 1]
-        return acc
-    # z = -1: sum_{i>=j} (-1)**i i**-power = (-1)**j beta(power, j)
-    betas = [mp.mpf(0)] * (jmax + 2)
-    betas[jmax + 1] = ws.beta_value(power, jmax + 1)
-    for j in range(jmax, 0, -1):
-        betas[j] = mp.mpf(j) ** -power - betas[j + 1]
-    acc = mp.mpf(0)
-    xj = mp.mpf(1)
-    for j in range(1, jmax + 1):
-        xj *= xv
-        acc += xj / mp.mpf(j) ** l * (-1) ** j * betas[j]
-    return acc
-
-
-def _series_mixed(facs, power: int, zf: Fraction, max_terms: int | None,
-                  ws: _Workspace) -> mp.mpf:
-    """z = +-1 with exactly one |x| < 1 factor among +-1 co-factors.
+def _series_mixed(fac: tuple[int, Fraction], spec: SumSpec, sign: int,
+                  ws: _Workspace, budget: Budget) -> mp.mpf:
+    """z = +-1 with exactly one |x| < 1 factor `fac`; the +-1 co-factors
+    and z make up the all-unit sum sign * spec (z = -1 when it alternates).
 
     Splitting w_n(l, x) = Li_l(x) - t_n with t_n = sum_{k>n} x**k/k**l
     reduces the head to the all-unit case; the t_n correction decays
     geometrically, so it is summed directly with tails filled backward.
     """
-    idx = next(i for i, (_, x) in enumerate(facs) if abs(x) < 1)
-    l0, x0 = facs[idx]
-    others = [f for i, f in enumerate(facs) if i != idx]
+    l0, x0 = fac
     if x0 == 0:
         return mp.mpf(0)
     xv = _to_mpf_arg(x0)
     ax = abs(xv)
+    head = sign * _eval_raw(spec, ws.dps, budget, ws.boost)
+    head *= _polylog_mpf(l0, xv, ws, budget)
 
-    neg = sum(1 for _, x in others if x == -1)
-    head_spec = SumSpec(
-        tuple(Factor("h" if x == 1 else "l", l) for l, x in others),
-        power,
-        alternating=(zf == -1),
-    )
-    if not head_spec.converges():
-        raise DivergentSumError("series diverges")
-    sign = (-1) ** neg * (-1 if zf == -1 else 1)
-    head = sign * mp.mpf(eval_sum(head_spec, ws.dps, max_terms=max_terms).value)
-    head *= _polylog_mpf(l0, xv, ws)
-
-    # correction: sum_n (prod_others w_n) t_n z**n / n**power
+    # correction: sum_n (prod of the co-factors' w_n) t_n z**n / n**power
     nmax = int(mp.ceil((ws.dps + 8) * mp.ln(10) / mp.ln(1 / ax))) + 16
     seed_len = nmax + int(mp.ceil(mp.ln(4 / (1 - ax)) / mp.ln(1 / ax))) + 8
     tail = mp.mpf(0)
@@ -925,16 +904,19 @@ def _series_mixed(facs, power: int, zf: Fraction, max_terms: int | None,
     tails[nmax] = tail
     for n in range(nmax, 1, -1):
         tails[n - 1] = tails[n] + xv ** n / mp.mpf(n) ** l0
-    zv = _to_mpf_arg(zf)
-    partials = [mp.mpf(0)] * len(others)
+    zv = -1 if spec.alternating else 1
+    # w_n(l, 1) and w_n(l, -1), for the co-factors h(l) and l(l) of spec
+    partials = [mp.mpf(0)] * len(spec.factors)
     corr = mp.mpf(0)
     zn = mp.mpf(1)
     for n in range(1, nmax + 1):
+        budget.spend()
         zn *= zv
-        term = zn / mp.mpf(n) ** power
-        for i, (l, x) in enumerate(others):
-            partials[i] += (1 if x == 1 or n % 2 == 0 else -1) / mp.mpf(n) ** l
-            term *= partials[i]
+        term = zn / mp.mpf(n) ** spec.power
+        for i, f in enumerate(spec.factors):
+            sgn = 1 if f.kind == "h" or n % 2 == 0 else -1
+            partials[i] += sgn / mp.mpf(n) ** f.order
+            term *= partials[i] ** f.exponent
         corr -= term * tails[n]
     return head + corr
 

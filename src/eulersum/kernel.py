@@ -26,12 +26,14 @@ import mpmath as mp
 
 Rational = Fraction
 
-# Digits of slack carried by every internal computation beyond what the
-# caller asked for. Large enough to absorb cancellation in the acceleration
-# schemes, small enough not to hurt performance.
+# `certified` runs its lo run at digits + GUARD_DIGITS and its hi run ten
+# digits above, so a request's value may cancel about this many digits
+# before lo and hi disagree and it is refused; derived values add no guard
+# of their own. Also the slack of fixed-precision comparisons and output.
 GUARD_DIGITS = 15
 
-# Series terms one evaluation may spend unless the caller passes max_terms.
+# Series terms one request may spend, over all its sums and both runs,
+# unless the caller passes max_terms.
 DEFAULT_MAX_TERMS = 10 ** 6
 
 # Held while mpmath's global precision is set, and by the once-only
@@ -138,7 +140,14 @@ def fmt_significant(x, digits: int) -> str:
         return mp.nstr(mp.mpf(x), digits, strip_zeros=False)
 
 
-def certified(run: Callable[[int, Budget, int], mp.mpf], digits: int,
+# A run function: run(dps, budget, boost) is one uncertified value at the
+# current precision dps, spending from the request's term budget. It calls
+# only run functions, never a certified evaluator, so a value built from
+# several (an identity's side, a reduction's atoms) is certified once.
+Run = Callable[[int, Budget, int], mp.mpf]
+
+
+def certified(run: Run, digits: int,
               what: object, max_terms: int | None = None) -> PrecReal:
     """Evaluate to `digits` certified digits with `run(dps, budget, boost)`.
 

@@ -35,23 +35,24 @@ from typing import Callable, Sequence
 from mpmath import mp
 
 from .kernel import (
-    GUARD_DIGITS,
     LOCK,
     DivergentSumError,
     EulerSumError,
     PrecReal,
     Rational,
+    Run,
     UnsupportedReductionError,
-    at_dps,
     binomial_exact,
+    certified,
     mpf_from_fraction,
 )
 from .sumspec import Factor, SumSpec, format_sumspec, parse_sumspec
 from .engine import (
-    eval_I,
-    eval_R,
-    eval_polylog,
-    eval_series,
+    _I_run,
+    _R_run,
+    _eval_raw,
+    _polylog_run,
+    _series_run,
     eval_sum,
 )
 from .algebra import (
@@ -399,13 +400,13 @@ class Identity:
 
     def numeric_lhs(self, digits: int = 30,
                     max_terms: int | None = None) -> PrecReal:
-        inner = digits + 10
-        with at_dps(inner + GUARD_DIGITS):
-            acc = mp.mpf(0)
-            for spec, coeff in self.lhs:
-                val = eval_sum(spec, inner, max_terms=max_terms)
-                acc += mpf_from_fraction(coeff) * mp.mpf(val.value)
-        return PrecReal(acc, digits)
+        """The left side's combination, certified once as a whole under one
+        term budget of `max_terms` (see `sv_numeric`)."""
+        return certified(
+            lambda dps, budget, boost: mp.fsum(
+                mpf_from_fraction(coeff) * _eval_raw(spec, dps, budget, boost)
+                for spec, coeff in self.lhs),
+            digits, f"{self.provenance} left side", max_terms)
 
     def numeric_rhs(self, digits: int = 30,
                     max_terms: int | None = None) -> PrecReal:
@@ -493,40 +494,38 @@ class STerm:
         return obj
 
 
-def _sterm_numeric(term: STerm, digits: int,
-                   max_terms: int | None) -> mp.mpf:
-    """Value of one series-identity term at working precision `digits`."""
-    with at_dps(digits + GUARD_DIGITS):
+def _sterm_run(term: STerm) -> Run:
+    """Run function for the value of one series-identity term."""
+    runs = [_polylog_run(order, arg) for order, arg in term.polylogs]
+    if term.ln1m is not None:
+        runs.append(lambda dps, budget, boost:
+                    mp.log(1 - mpf_from_fraction(term.ln1m)))
+    if term.integral is not None:
+        fam, p, q, arg = term.integral
+        if fam == "I":
+            runs.append(_I_run(p, q, arg))
+        elif fam == "R":
+            if arg != -1:
+                raise ValueError("R integrals evaluate at -1 only")
+            runs.append(_R_run(p, q))
+        else:
+            raise ValueError(f"unknown integral family {fam!r}")
+    if term.outer is not None:
+        series = _series_run(term.factors, term.power, term.outer)
+        if term.minus_one:
+            plain = series
+            at_one = _series_run(term.factors, term.power, Fraction(1))
+            series = lambda dps, budget, boost: \
+                plain(dps, budget, boost) - at_one(dps, budget, boost)
+        runs.append(series)
+
+    def run(dps: int, budget, boost: int) -> mp.mpf:
         val = mpf_from_fraction(term.coeff)
-        for order, arg in term.polylogs:
-            if order == 1 and arg == 1:
-                raise DivergentSumError("polylog of order 1 diverges at 1")
-            val *= mp.mpf(eval_polylog(order, arg, digits).value)
-        if term.ln1m is not None:
-            if term.ln1m >= 1:
-                raise DivergentSumError("log(1-x) needs x < 1")
-            val *= mp.log(1 - mpf_from_fraction(term.ln1m))
-        if term.integral is not None:
-            fam, p, q, arg = term.integral
-            if fam == "I":
-                val *= mp.mpf(eval_I(p, q, arg, digits,
-                                     max_terms=max_terms).value)
-            elif fam == "R":
-                if arg != -1:
-                    raise ValueError("R integrals evaluate at -1 only")
-                val *= mp.mpf(eval_R(p, q, digits,
-                                     max_terms=max_terms).value)
-            else:
-                raise ValueError(f"unknown integral family {fam!r}")
-        if term.outer is not None:
-            s = mp.mpf(eval_series(term.factors, term.power, term.outer,
-                                   digits, max_terms=max_terms).value)
-            if term.minus_one:
-                s -= mp.mpf(eval_series(term.factors, term.power,
-                                        Fraction(1), digits,
-                                        max_terms=max_terms).value)
-            val *= s
+        for part in runs:
+            val *= part(dps, budget, boost)
         return val
+
+    return run
 
 
 def _series_term_converges(term: STerm) -> bool:
@@ -606,13 +605,13 @@ class SeriesIdentity:
     def _side(self, which: int, digits: int,
               args: Sequence[Rational] | None,
               max_terms: int | None) -> PrecReal:
-        terms = self.instantiate(args)[which]
-        inner = digits + 10
-        with at_dps(inner + GUARD_DIGITS):
-            acc = mp.mpf(0)
-            for term in terms:
-                acc += _sterm_numeric(term, inner, max_terms)
-        return PrecReal(acc, digits)
+        # instantiate rejects divergent terms before any run starts
+        runs = [_sterm_run(t) for t in self.instantiate(args)[which]]
+        side = ("left", "right")[which]
+        return certified(
+            lambda dps, budget, boost:
+                mp.fsum(part(dps, budget, boost) for part in runs),
+            digits, f"{self.provenance} {side} side", max_terms)
 
     def __str__(self) -> str:
         lhs, rhs = self.instantiate()

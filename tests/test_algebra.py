@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import close_digits
+from eulersum.kernel import AccelerationError
 from eulersum.algebra import (
     Atom,
     Monomial,
@@ -20,6 +21,7 @@ from eulersum.algebra import (
     sv_mul,
     sv_numeric,
     sv_pow,
+    sv_rational,
     sv_scale,
     sv_sub,
     sv_term,
@@ -215,6 +217,16 @@ def test_sv_numeric_combination():
     with mp.workdps(45):
         want = mp.mpf(3) / 4 * mp.zeta(2) - 2 * mp.ln(2) ** 2
         assert close_digits(sv_numeric(v, 32), want, 30)
+
+
+def test_sv_numeric_refuses_cancelled_digits():
+    # 10^30 z(3) - M with M the integer part of 10^30 z(3): the combination
+    # cancels 30 digits, so at 30 digits its value is not certifiable
+    with mp.workdps(60):
+        m = int(mp.floor(mp.mpf(10) ** 30 * mp.zeta(3)))
+    v = sv_sub(sv_scale(sym_zeta(3), 10 ** 30), sv_rational(m))
+    with pytest.raises(AccelerationError):
+        sv_numeric(v, 30)
 
 
 def test_atom_validation():

@@ -192,7 +192,8 @@ def test_public_evaluators_refuse_precision_drift(monkeypatch):
     polylog = engine_module._polylog_mpf
     monkeypatch.setattr(
         engine_module, "_polylog_mpf",
-        lambda p, x, ws: polylog(p, x, ws) + mp.mpf(10) ** (20 - ws.dps))
+        lambda p, x, ws, budget:
+            polylog(p, x, ws, budget) + mp.mpf(10) ** (20 - ws.dps))
     with pytest.raises(AccelerationError):
         eval_polylog(2, 0.5, 30)
     zeta = engine_module._Workspace.zeta
@@ -273,23 +274,33 @@ def test_eval_series_matches_eval_sum_at_unit_arguments():
 
 
 def test_eval_series_mixed_route():
-    # one |x|<1 factor among unit arguments, z=1: summation order swap
+    # one |x|<1 factor and no unit co-factor, at z = 1 and z = -1
     with mp.workdps(45):
-        x = Fraction(1, 3)
-        got = eval_series([(2, x)], 2, 1, 25)
-        # independent: w_n(2,x) -> Li_2(x), tail decays like x^n;
-        # direct summation at 45 dps
-        acc = mp.mpf(0)
-        w = mp.mpf(0)
-        xm = mp.mpf(1) / 3
-        for n in range(1, 400):
-            w += xm ** n / mp.mpf(n) ** 2
-            acc += w / mp.mpf(n) ** 2
-        # tail: w_n ~ Li_2(x) so remainder ~ Li_2(x) * (zeta(2) - partial)
-        li = mp.polylog(2, xm)
-        acc += li * (mp.zeta(2) - sum(mp.mpf(1) / mp.mpf(n) ** 2
-                                      for n in range(1, 400)))
-        assert close_digits(got, acc, 20)
+        for x, z in [(Fraction(1, 3), 1), (Fraction(1, 3), -1),
+                     (Fraction(-1, 2), 1), (Fraction(-1, 2), -1)]:
+            got = eval_series([(2, x)], 2, z, 25)
+            # independent: w_n(2,x) -> Li_2(x), tail decays like x^n;
+            # direct summation at 45 dps
+            acc = mp.mpf(0)
+            w = mp.mpf(0)
+            xm = mp.mpf(x.numerator) / x.denominator
+            for n in range(1, 400):
+                w += xm ** n / mp.mpf(n) ** 2
+                acc += w * mp.mpf(z) ** n / mp.mpf(n) ** 2
+            # tail: w_n ~ Li_2(x) so remainder ~ Li_2(x) * (Li_2(z) - partial)
+            li = mp.polylog(2, xm)
+            acc += li * (mp.polylog(2, z) - sum(mp.mpf(z) ** n / mp.mpf(n) ** 2
+                                                for n in range(1, 400)))
+            assert close_digits(got, acc, 20), (x, z)
+
+
+def test_series_routes_spend_budget():
+    # the direct series and the polylog/log-tail route of eval_I spend
+    # the request's term budget like every other route
+    with pytest.raises(AccelerationError):
+        eval_series([(1, 1)], 2, Fraction(1, 2), 30, max_terms=1)
+    with pytest.raises(AccelerationError):
+        eval_I(2, 3, Fraction(1, 2), 30, max_terms=1)
 
 
 def test_engine_constants_against_mpmath():

@@ -159,6 +159,18 @@ def test_identity_rhs_obeys_term_budget():
         resolve_tag("Eq(3.7)").numeric_rhs(25, max_terms=1)
 
 
+def test_identity_lhs_spends_one_budget():
+    # each of Eq(3.8)'s two sums certifies alone within m terms, even at
+    # ten more digits; the whole left side spends both from one budget
+    ident = resolve_tag("Eq(3.8)")
+    m = 1091
+    for spec, _ in ident.lhs:
+        eval_sum(spec, 35, max_terms=m)
+    with pytest.raises(AccelerationError):
+        ident.numeric_lhs(25, max_terms=m)
+    ident.numeric_lhs(25, max_terms=2 * m)
+
+
 def test_regression_catalog():
     idents = regression_identities()
     tags = regression_tags()
@@ -197,10 +209,17 @@ def test_identity_family_catalog():
     ("cor3_3", (2, 1)),
     ("cor2_7", (2, 0)),
     ("thm2_9", (2, 0)),
+    ("thm2_6", (2, 0, Fraction(1, 2))),
+    ("thm2_6", (3, 0, Fraction(-1, 2))),
+    ("sym3_1", (2, 1, 1, Fraction(1, 2), Fraction(1, 3), Fraction(-1, 2))),
+    ("product_expand", (2, 3)),
 ])
 def test_family_instances_verify_numerically(name, params):
     ident = identity_family(name, params)
-    assert close_digits(ident.numeric_lhs(18), ident.numeric_rhs(18), 15)
+    # product_expand leaves its argument free: bind it off the default 1/2
+    extra = {"args": (Fraction(-1, 2),)} if name == "product_expand" else {}
+    assert close_digits(ident.numeric_lhs(18, **extra),
+                        ident.numeric_rhs(18, **extra), 15)
 
 
 def test_series_identity_product_expand():
