@@ -30,7 +30,6 @@ from typing import Iterable, Iterator, Mapping, Union
 from mpmath import mp
 
 from .kernel import (
-    LOCK,
     EulerSumError,
     PrecReal,
     Rational,
@@ -337,34 +336,14 @@ def weight_of(v: SymbolicValue) -> int | None:
 # Normalization
 # ---------------------------------------------------------------------------
 
-_LIH_REWRITES: dict[int, SymbolicValue] | None = None
-
-
-def _lih_rewrites() -> dict[int, SymbolicValue]:
-    """Rewrites for Li_2(1/2) and Li_3(1/2), admitted only after a numeric
-    check against the direct series.  A mismatch is a hard error because it
-    would silently corrupt every downstream reduction."""
-    global _LIH_REWRITES
-    with LOCK:
-        if _LIH_REWRITES is None:
-            half = Fraction(1, 2)
-            li2 = half * sym_zeta(2) - half * sym_ln2() ** 2
-            li3 = (
-                Fraction(7, 8) * sym_zeta(3)
-                - half * sym_zeta(2) * sym_ln2()
-                + Fraction(1, 6) * sym_ln2() ** 3
-            )
-            check_digits = 30
-            for k, candidate in ((2, li2), (3, li3)):
-                direct = engine.lihalf_value(k, check_digits)
-                composed = sv_numeric(candidate, check_digits)
-                if not composed.eq_to(direct, check_digits - 2):
-                    raise RuntimeError(
-                        f"lih({k}) rewrite failed its numeric self-check: "
-                        f"{composed} vs {direct}"
-                    )
-            _LIH_REWRITES = {2: li2, 3: li3}
-        return _LIH_REWRITES
+# Li_2(1/2) and Li_3(1/2) in the preferred basis; tests/test_algebra.py
+# checks both against mpmath's polylog.
+_LIH_REWRITES: dict[int, SymbolicValue] = {
+    2: Fraction(1, 2) * sym_zeta(2) - Fraction(1, 2) * sym_ln2() ** 2,
+    3: (Fraction(7, 8) * sym_zeta(3)
+        - Fraction(1, 2) * sym_zeta(2) * sym_ln2()
+        + Fraction(1, 6) * sym_ln2() ** 3),
+}
 
 
 def _atom_substitution(atom: Atom) -> SymbolicValue:
@@ -378,7 +357,7 @@ def _atom_substitution(atom: Atom) -> SymbolicValue:
         if atom.order == 1:
             return sym_ln2()
         if atom.order in (2, 3):
-            return _lih_rewrites()[atom.order]
+            return _LIH_REWRITES[atom.order]
     return sv_term(1, [(atom, 1)])
 
 

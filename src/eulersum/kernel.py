@@ -36,8 +36,8 @@ GUARD_DIGITS = 15
 # unless the caller passes max_terms.
 DEFAULT_MAX_TERMS = 10 ** 6
 
-# Held while mpmath's global precision is set, and by the once-only
-# self-checks, which call back into evaluations (hence re-entrant).
+# Held while mpmath's global precision is set; re-entrant, so a block that
+# sets the precision may call code that sets it again.
 LOCK = threading.RLock()
 
 

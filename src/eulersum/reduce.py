@@ -35,7 +35,6 @@ from typing import Callable, Sequence
 from mpmath import mp
 
 from .kernel import (
-    LOCK,
     DivergentSumError,
     EulerSumError,
     PrecReal,
@@ -53,7 +52,6 @@ from .engine import (
     _eval_raw,
     _polylog_run,
     _series_run,
-    eval_sum,
 )
 from .algebra import (
     Atom,
@@ -199,9 +197,9 @@ def _l1_odd_power_closed(w: int) -> SymbolicValue:
     return acc
 
 
-# Low-weight alternating and mixed entries with no formula route. Written
-# as parseable term strings; every entry is numerically certified against
-# the summation engine before the table serves its first lookup.
+# Low-weight alternating and mixed entries with no formula route, written
+# as parseable term strings. tests/test_reduce.py certifies every entry
+# against the summation engine to 25 digits.
 _FROZEN_ENTRIES: dict[str, str] = {
     # weight 3
     "h(1)/n^2 alt": "5/8*z(3)",
@@ -228,31 +226,13 @@ _FROZEN_ENTRIES: dict[str, str] = {
     "l(3)/n^2 alt": "-67/16*z(5) + 21/8*z(2)*z(3)",
 }
 
-_TABLE_CHECK_DIGITS = 25
-
-
-# Canonical degree-one spec -> closed form. Every entry is verified
-# numerically (engine value vs. symbolic value, 25 digits) before the first
-# lookup is answered; the check runs once per process under the lock.
+# Canonical degree-one spec -> closed form.
 _TABLE: dict[str, SymbolicValue] = {
     format_sumspec(parse_sumspec(key)): parse_symbolic(text)
     for key, text in _FROZEN_ENTRIES.items()}
-_TABLE_CHECKED = False
 
 
 def _table_lookup(spec: SumSpec | str) -> SymbolicValue | None:
-    global _TABLE_CHECKED
-    with LOCK:
-        if not _TABLE_CHECKED:
-            digits = _TABLE_CHECK_DIGITS + 5
-            for key, value in _TABLE.items():
-                got = eval_sum(key, digits)
-                want = sv_numeric(value, digits)
-                if not got.eq_to(want, _TABLE_CHECK_DIGITS):
-                    raise EulerSumError(
-                        f"closed-form table entry {key!r} failed its "
-                        f"numeric self-check")
-            _TABLE_CHECKED = True
     return _TABLE.get(format_sumspec(_as_spec(spec)))
 
 

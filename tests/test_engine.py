@@ -15,7 +15,7 @@ import pytest
 
 from helpers import close_digits
 from eulersum.kernel import (AccelerationError, Budget, DivergentSumError,
-                             PrecReal, fmt_significant)
+                             PrecReal, at_dps, fmt_significant)
 from eulersum import engine as engine_module
 from eulersum.engine import (
     DEFAULT_MAX_TERMS,
@@ -81,6 +81,48 @@ def test_eval_sum_classical_closed_forms():
                             10 * z(5) + z(2) * z(3), 28)
         assert close_digits(eval_sum("h(1)^4/n^2", 30),
                             mp.mpf(979) / 24 * z(6) + 3 * z(3) ** 2, 28)
+
+
+@pytest.mark.parametrize("spec,closed", [
+    ("h(1)/n alt", lambda: mp.zeta(2) / 2 - mp.log(2) ** 2 / 2),
+    ("h(1)/n^2 alt", lambda: 5 * mp.zeta(3) / 8),
+])
+def test_alternating_closed_forms_at_100_digits(spec, closed):
+    with mp.workdps(120):
+        want = closed()
+    assert close_digits(eval_sum(spec, 100), want, 99)
+
+
+# alternating pieces only: the h-factor alt sums with q >= 2 of the
+# benchmark's eval-alternating list, two over n, and one plain l sum
+CVZ_SPECS = [
+    "h(1)/n^2 alt", "h(1)/n^4 alt", "h(2)/n^3 alt", "h(3)/n^2 alt",
+    "h(4)/n^4 alt", "h(1)^2/n^2 alt", "h(2)^2/n^3 alt", "h(1)*h(2)/n^3 alt",
+    "h(1)*h(3)/n^2 alt", "h(1)^3/n^2 alt",
+    "h(1)*h(2)/n alt", "h(2)*h(3)/n alt", "l(3)/n^2",
+]
+
+
+def test_alternating_pieces_stay_inside_the_dense_tables(monkeypatch):
+    # every factor value the alternating summer needs is a table read,
+    # at both boosts and up to 200 digits
+    past = []
+    for name in ("zl", "psi"):
+        read = getattr(engine_module._Workspace, name)
+
+        def spy(ws, k, n, read=read):
+            past.append(n - ws.n_dense)
+            return read(ws, k, n)
+
+        monkeypatch.setattr(engine_module._Workspace, name, spy)
+    engine_module._raw_slot.cache_clear()
+    for boost in (0, 1):
+        for dps in (30, 60, 200):
+            with at_dps(dps):
+                for text in CVZ_SPECS:
+                    engine_module._eval_raw(parse_sumspec(text), dps,
+                                            Budget(DEFAULT_MAX_TERMS), boost)
+    assert past and max(past) <= 0
 
 
 def test_eval_sum_requested_digits_scale():

@@ -23,6 +23,7 @@ from eulersum.algebra import (
 )
 from eulersum.engine import eval_I, eval_R, eval_sum
 from eulersum.reduce import (
+    _FROZEN_ENTRIES,
     Identity,
     SeriesIdentity,
     euler_linear,
@@ -103,6 +104,15 @@ def test_linear_lookup_routes():
         linear_lookup(parse_sumspec("h(1)/n"))
     with pytest.raises(ValueError):
         linear_lookup(parse_sumspec("h(1)^2/n^2"))
+
+
+@pytest.mark.parametrize("key", list(_FROZEN_ENTRIES))
+def test_frozen_table_entry_matches_engine(key):
+    # the engine's value and the served closed form, both certified to 30
+    # digits, must agree to 25
+    got = eval_sum(key, 30)
+    want = sv_numeric(linear_lookup(key), 30)
+    assert got.eq_to(want, 25)
 
 
 # --- endpoint integrals ---------------------------------------------------

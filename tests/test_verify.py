@@ -124,6 +124,25 @@ def test_brute_reference_values_match_engine_route():
         assert close_digits(got, want, 13)
 
 
+def test_brute_cutoff_is_converged(monkeypatch):
+    # doubling the direct-sum cutoff moves no pair in its first 20 digits,
+    # so the Euler-Maclaurin tails carry the rest of each sum
+    def values(n):
+        monkeypatch.setattr(verify_module, "_BRUTE_N", n)
+        verify_module._brute_partials.cache_clear()
+        return {pq: brute_fs(*pq, 25).value
+                for pq in verify_module._BRUTE_PAIRS}
+
+    try:
+        base = values(verify_module._BRUTE_N)
+        doubled = values(2 * verify_module._BRUTE_N)
+    finally:
+        verify_module._brute_partials.cache_clear()
+    with mp.workdps(30):
+        for pq, want in doubled.items():
+            assert abs(base[pq] - want) <= mp.mpf(10) ** -20 * abs(want), pq
+
+
 def test_brute_validation():
     with pytest.raises(ValueError):
         brute_euler(9)
