@@ -14,8 +14,10 @@ Layers, bottom up:
     all behind `linear_lookup`;
   * closed forms for the polylog-product integrals at 1 and -1;
   * `Identity` (fixed sums, symbolic right side) and `SeriesIdentity`
-    (terms with a polylog/series structure, evaluable at rational
-    arguments) plus the family generators behind `identity_family`;
+    (polylog/series terms on both sides) plus the family generators
+    behind `identity_family`; every family parameter, the rational
+    arguments of the series families included, is bound when the
+    identity is built;
   * `reduce_quadratic`, which eliminates the two covered families of
     degree-two alternating sums through the generated identities;
   * `regression_identities`, a hard-coded list of fixed benchmark
@@ -30,6 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
 from mpmath import mp
@@ -70,7 +73,6 @@ from .algebra import (
     sv_text,
     sv_to_json,
     sv_zero,
-    sym_lihalf,
     sym_linear,
     sym_ln2,
     sym_zeta,
@@ -530,85 +532,49 @@ def _series_term_converges(term: STerm) -> bool:
 
 @dataclass(frozen=True)
 class SeriesIdentity:
-    """An identity between term lists evaluable at rational arguments.
+    """An identity between two term lists, with every argument bound.
 
-    `arity` free arguments (0 when the generator bound everything) are
-    supplied at evaluation time, defaulting to `default_args`. The term
-    lists come from `_build(args)`; both sides must agree numerically at
-    every admissible argument tuple.
+    The family generators bind their rational arguments when they build
+    the terms; both sides must agree numerically. Construction rejects a
+    divergent term, as `Identity` does.
     """
 
     provenance: str
-    arity: int
-    default_args: tuple[Fraction, ...]
-    domain: str
+    lhs: tuple[STerm, ...]
+    rhs: tuple[STerm, ...]
     parameters: tuple | None = None
-    _build: Callable[..., tuple[tuple[STerm, ...], tuple[STerm, ...]]] = None
 
-    def _bind(self, args: Sequence[Rational] | None) -> tuple[Fraction, ...]:
-        if args is None or len(tuple(args)) == 0:
-            return self.default_args
-        bound = tuple(Fraction(a) for a in args)
-        if len(bound) != self.arity:
-            raise ValueError(
-                f"{self.provenance} takes {self.arity} argument(s), "
-                f"got {len(bound)}")
-        return bound
-
-    def instantiate(self, args: Sequence[Rational] | None = None
-                    ) -> tuple[tuple[STerm, ...], tuple[STerm, ...]]:
-        lhs, rhs = self._build(*self._bind(args))
-        for term in lhs + rhs:
+    def __post_init__(self):
+        for term in self.lhs + self.rhs:
             if not _series_term_converges(term):
                 raise DivergentSumError(
                     f"{self.provenance}: divergent term {term}")
-        return lhs, rhs
-
-    @property
-    def lhs(self) -> tuple[STerm, ...]:
-        return self.instantiate()[0]
-
-    @property
-    def rhs(self) -> tuple[STerm, ...]:
-        return self.instantiate()[1]
 
     def numeric_lhs(self, digits: int = 30,
-                    args: Sequence[Rational] | None = None,
                     max_terms: int | None = None) -> PrecReal:
-        return self._side(0, digits, args, max_terms)
+        return self._side(self.lhs, "left", digits, max_terms)
 
     def numeric_rhs(self, digits: int = 30,
-                    args: Sequence[Rational] | None = None,
                     max_terms: int | None = None) -> PrecReal:
-        return self._side(1, digits, args, max_terms)
+        return self._side(self.rhs, "right", digits, max_terms)
 
-    def _side(self, which: int, digits: int,
-              args: Sequence[Rational] | None,
+    def _side(self, terms: tuple[STerm, ...], side: str, digits: int,
               max_terms: int | None) -> PrecReal:
-        # instantiate rejects divergent terms before any run starts
-        runs = [_sterm_run(t) for t in self.instantiate(args)[which]]
-        side = ("left", "right")[which]
+        runs = [_sterm_run(t) for t in terms]
         return certified(
             lambda dps, budget, boost:
                 mp.fsum(part(dps, budget, boost) for part in runs),
             digits, f"{self.provenance} {side} side", max_terms)
 
     def __str__(self) -> str:
-        lhs, rhs = self.instantiate()
         fmt = lambda ts: " + ".join(f"({t})" for t in ts) if ts else "0"
-        head = f"{self.provenance} [{self.domain}]"
-        if self.arity:
-            head += f" at default args {tuple(map(str, self.default_args))}"
-        return f"{head}: {fmt(lhs)} = {fmt(rhs)}"
+        return f"{self.provenance}: {fmt(self.lhs)} = {fmt(self.rhs)}"
 
     def to_json(self) -> dict:
-        lhs, rhs = self.instantiate()
         obj = {
             "provenance": self.provenance,
-            "domain": self.domain,
-            "defaultArgs": [str(a) for a in self.default_args],
-            "lhs": [t.to_json() for t in lhs],
-            "rhs": [t.to_json() for t in rhs],
+            "lhs": [t.to_json() for t in self.lhs],
+            "rhs": [t.to_json() for t in self.rhs],
         }
         if self.parameters is not None:
             obj["parameters"] = [str(par) for par in self.parameters]
@@ -866,50 +832,40 @@ def _weighted_pair_series(p: int, m: int, x: Rational) -> SeriesIdentity:
     s = p + 2 * m + 1
     sign = Fraction((-1) ** p)
     one_f = Fraction(1)
-
-    def build() -> tuple[tuple[STerm, ...], tuple[STerm, ...]]:
-        lhs = (
-            STerm(coeff=sign, factors=((s, one_f), (1, xf)), power=p,
-                  outer=one_f),
-            STerm(coeff=sign, factors=((p, one_f), (1, xf)), power=s,
-                  outer=one_f),
-        )
-        rhs: list[STerm] = [
-            STerm(coeff=Fraction(s + 1), integral=("I", p - 1, s + 1, xf)),
-            STerm(coeff=Fraction(2 * m + 1), integral=("I", p, s, xf)),
-            STerm(coeff=Fraction(-(p + 1)), integral=("I", p + 1, s - 1, xf)),
-            STerm(coeff=sign, ln1m=xf, factors=((s, one_f),), power=p,
-                  outer=xf, minus_one=True),
-            STerm(coeff=sign, ln1m=xf, factors=((p, one_f),), power=s,
-                  outer=xf, minus_one=True),
-        ]
-
-        def bundle(a: int, i: int, li_order: int, c: Fraction) -> None:
-            rhs.append(STerm(coeff=2 * c, polylogs=((li_order, xf),),
-                             factors=((1, one_f),), power=a + i, outer=xf))
-            for j in range(2, a + 1):
-                rhs.append(STerm(coeff=c, polylogs=((li_order, xf),),
-                                 factors=((j, one_f),),
-                                 power=a + 1 + i - j, outer=xf))
-
-        for i in range(1, s):
-            bundle(p - 1, i, s + 1 - i, Fraction((-1) ** (i - 1)))
-        for i in range(1, s - 1):
-            bundle(p, i, s - i, Fraction((-1) ** (i - 1)))
-        for i in range(1, p - 1):
-            bundle(s, i, p - i, Fraction(-((-1) ** (i - 1))))
-        for i in range(1, p):
-            bundle(s - 1, i, p + 1 - i, Fraction(-((-1) ** (i - 1))))
-        return lhs, tuple(rhs)
-
-    return SeriesIdentity(
-        provenance="thm2_6(%d,%d,%s)" % (p, m, xf),
-        arity=0,
-        default_args=(),
-        domain="bound arguments",
-        parameters=(p, m, xf),
-        _build=lambda: build(),
+    lhs = (
+        STerm(coeff=sign, factors=((s, one_f), (1, xf)), power=p,
+              outer=one_f),
+        STerm(coeff=sign, factors=((p, one_f), (1, xf)), power=s,
+              outer=one_f),
     )
+    rhs: list[STerm] = [
+        STerm(coeff=Fraction(s + 1), integral=("I", p - 1, s + 1, xf)),
+        STerm(coeff=Fraction(2 * m + 1), integral=("I", p, s, xf)),
+        STerm(coeff=Fraction(-(p + 1)), integral=("I", p + 1, s - 1, xf)),
+        STerm(coeff=sign, ln1m=xf, factors=((s, one_f),), power=p,
+              outer=xf, minus_one=True),
+        STerm(coeff=sign, ln1m=xf, factors=((p, one_f),), power=s,
+              outer=xf, minus_one=True),
+    ]
+
+    def bundle(a: int, i: int, li_order: int, c: Fraction) -> None:
+        rhs.append(STerm(coeff=2 * c, polylogs=((li_order, xf),),
+                         factors=((1, one_f),), power=a + i, outer=xf))
+        for j in range(2, a + 1):
+            rhs.append(STerm(coeff=c, polylogs=((li_order, xf),),
+                             factors=((j, one_f),),
+                             power=a + 1 + i - j, outer=xf))
+
+    for i in range(1, s):
+        bundle(p - 1, i, s + 1 - i, Fraction((-1) ** (i - 1)))
+    for i in range(1, s - 1):
+        bundle(p, i, s - i, Fraction((-1) ** (i - 1)))
+    for i in range(1, p - 1):
+        bundle(s, i, p - i, Fraction(-((-1) ** (i - 1))))
+    for i in range(1, p):
+        bundle(s - 1, i, p + 1 - i, Fraction(-((-1) ** (i - 1))))
+    return SeriesIdentity("thm2_6(%d,%d,%s)" % (p, m, xf), lhs, tuple(rhs),
+                          (p, m, xf))
 
 
 def _triple_partial_relation(l1: int, l2: int, m: int, x: Rational,
@@ -921,70 +877,45 @@ def _triple_partial_relation(l1: int, l2: int, m: int, x: Rational,
     for arg in (xf, yf, zf):
         if abs(arg) > 1:
             raise ValueError("need |x|, |y|, |z| <= 1")
-
-    def build() -> tuple[tuple[STerm, ...], tuple[STerm, ...]]:
-        lhs = (
-            STerm(factors=((l1, xf), (l2, yf)), power=m, outer=zf),
-            STerm(factors=((l1, xf), (m, zf)), power=l2, outer=yf),
-            STerm(factors=((l2, yf), (m, zf)), power=l1, outer=xf),
-        )
-        rhs = (
-            STerm(factors=((m, zf),), power=l1 + l2, outer=xf * yf),
-            STerm(factors=((l1, xf),), power=m + l2, outer=yf * zf),
-            STerm(factors=((l2, yf),), power=l1 + m, outer=xf * zf),
-            STerm(polylogs=((m, zf), (l1, xf), (l2, yf))),
-            STerm(coeff=Fraction(-1),
-                  polylogs=((l1 + l2 + m, xf * yf * zf),)),
-        )
-        return lhs, rhs
-
-    ident = SeriesIdentity(
-        provenance="sym3_1(%d,%d,%d,%s,%s,%s)" % (l1, l2, m, xf, yf, zf),
-        arity=0,
-        default_args=(),
-        domain="bound arguments",
-        parameters=(l1, l2, m, xf, yf, zf),
-        _build=lambda: build(),
+    lhs = (
+        STerm(factors=((l1, xf), (l2, yf)), power=m, outer=zf),
+        STerm(factors=((l1, xf), (m, zf)), power=l2, outer=yf),
+        STerm(factors=((l2, yf), (m, zf)), power=l1, outer=xf),
     )
-    ident.instantiate()  # reject divergent instances at generation time
-    return ident
+    rhs = (
+        STerm(factors=((m, zf),), power=l1 + l2, outer=xf * yf),
+        STerm(factors=((l1, xf),), power=m + l2, outer=yf * zf),
+        STerm(factors=((l2, yf),), power=l1 + m, outer=xf * zf),
+        STerm(polylogs=((m, zf), (l1, xf), (l2, yf))),
+        STerm(coeff=Fraction(-1), polylogs=((l1 + l2 + m, xf * yf * zf),)),
+    )
+    return SeriesIdentity(
+        "sym3_1(%d,%d,%d,%s,%s,%s)" % (l1, l2, m, xf, yf, zf), lhs, rhs,
+        (l1, l2, m, xf, yf, zf))
 
 
-def product_expand(s: int, t: int) -> SeriesIdentity:
+def product_expand(s: int, t: int, x: Rational) -> SeriesIdentity:
     """Product of two polylogs as inner-weighted series minus a polylog.
 
     Li_s(x) Li_t(x) = sum_j A_j sum_n h(j)_n x^n/n^(s+t-j)
                     + sum_j B_j (same) - (sum A + sum B) Li_{s+t}(x),
-    with (A, B) = pf_coeffs(s, t). The argument x stays free; evaluation
-    binds it (default 1/2). Negating the argument gives the companion
-    expansion of products against log(1+x)-type series.
+    with (A, B) = pf_coeffs(s, t). Domain: |x| < 1, or x = -1 when every
+    series converges; construction rejects a divergent term. Negating the
+    argument gives the companion expansion of products against
+    log(1+x)-type series.
     """
     if s < 1 or t < 1:
         raise ValueError("need s >= 1 and t >= 1")
+    xf = Fraction(x)
     a, b = pf_coeffs(s, t)
     one_f = Fraction(1)
-
-    def build(x: Fraction) -> tuple[tuple[STerm, ...], tuple[STerm, ...]]:
-        lhs = (STerm(polylogs=((s, x), (t, x))),)
-        rhs: list[STerm] = []
-        for j in range(1, s + 1):
-            rhs.append(STerm(coeff=a[j - 1], factors=((j, one_f),),
-                             power=s + t - j, outer=x))
-        for j in range(1, t + 1):
-            rhs.append(STerm(coeff=b[j - 1], factors=((j, one_f),),
-                             power=s + t - j, outer=x))
-        rhs.append(STerm(coeff=-(sum(a) + sum(b)),
-                         polylogs=((s + t, x),)))
-        return lhs, tuple(rhs)
-
-    return SeriesIdentity(
-        provenance="product_expand(%d,%d)" % (s, t),
-        arity=1,
-        default_args=(Fraction(1, 2),),
-        domain="|x| < 1, or x = -1 when every series converges",
-        parameters=(s, t),
-        _build=build,
-    )
+    lhs = (STerm(polylogs=((s, xf), (t, xf))),)
+    rhs = tuple(STerm(coeff=c, factors=((j, one_f),), power=s + t - j,
+                      outer=xf)
+                for coeffs in (a, b) for j, c in enumerate(coeffs, 1))
+    rhs += (STerm(coeff=-(sum(a) + sum(b)), polylogs=((s + t, xf),)),)
+    return SeriesIdentity("product_expand(%d,%d,%s)" % (s, t, xf), lhs, rhs,
+                          (s, t, xf))
 
 
 # name -> (builder, parameter coercions)
@@ -999,7 +930,7 @@ _FAMILIES: dict[str, tuple[Callable, tuple[type, ...]]] = {
                (int, int, int, Fraction, Fraction, Fraction)),
     "cor3_2": (_stuffle_harmonic, (int, int)),
     "cor3_3": (_stuffle_alternating, (int, int)),
-    "product_expand": (product_expand, (int, int)),
+    "product_expand": (product_expand, (int, int, Fraction)),
 }
 
 
@@ -1153,61 +1084,60 @@ def _ident(tag: str, lhs: Sequence[tuple[str, int | str]],
     )
 
 
-_REGRESSION: tuple[Identity, ...] | None = None
-
-
 def regression_identities() -> list[Identity]:
     """The fixed list of benchmark identities, by opaque catalog tag.
 
     Right sides are transcribed constants; nothing here is generated.
     The four weight-4 degree-one entries coincide with the frozen table.
     """
-    global _REGRESSION
-    if _REGRESSION is None:
-        ids = [
-            _ident("Eq(3.6)",
-                   [("l(1)*h(3)/n^2", 1), ("l(1)*h(2)/n^3", 1)],
-                   "3/4*z(3)^2 + 7/4*z(6) + 5/8*z(2)*z(3)*ln2"
-                   " + -2*z(2)*lih(4) + 5/4*z(4)*ln2^2 + -1/12*z(2)*ln2^4"),
-            _ident("Eq(3.7)",
-                   [("h(2)*h(3)/n alt", 1)],
-                   "-161/64*z(6) + 31/16*z(5)*ln2 + 9/32*z(3)^2"
-                   " + 3/8*z(2)*z(3)*ln2 + 2*z(2)*lih(4) + -5/4*z(4)*ln2^2"
-                   " + 1/12*z(2)*ln2^4 + 1*LS{h(2)/n^4 alt}"
-                   " + -1*LS{l(3)/n^3}"),
-            _ident("Eq(3.8)",
-                   [("l(1)*l(3)/n^2 alt", 1), ("l(1)*l(2)/n^3 alt", 1)],
-                   "-385/128*z(6) + 31/8*z(5)*ln2 + 3/32*z(3)^2"
-                   " + 9/8*z(2)*z(3)*ln2 + 1*z(2)*lih(4) + -5/8*z(4)*ln2^2"
-                   " + 1/24*z(2)*ln2^4"),
-            _ident("Eq(3.9)",
-                   [("l(2)*l(3)/n alt", 1)],
-                   "163/128*z(6) + -31/16*z(5)*ln2 + 3/16*z(3)^2"
-                   " + -3/4*z(2)*z(3)*ln2 + -1*z(2)*lih(4) + 5/8*z(4)*ln2^2"
-                   " + -1/24*z(2)*ln2^4 + 1*LS{l(2)/n^4} + 1*LS{l(3)/n^3}"),
-            _ident("Eq(3.10)",
-                   [("l(1)*h(2)/n^3", 1)],
-                   "29/8*z(2)*z(3)*ln2 + -93/32*z(5)*ln2 + -1855/128*z(6)"
-                   " + 17/16*z(3)^2 + -1*LS{l(1)/n^5 alt} + 1*LS{l(2)/n^4}"
-                   " + 4*LS{h(2)/n^4 alt} + 8*LS{h(1)/n^5 alt}"),
-            _ident("Eq(3.11)",
-                   [("l(1)*h(3)/n^2", 1)],
-                   "2079/128*z(6) + 93/32*z(5)*ln2 + -5/16*z(3)^2"
-                   " + -3*z(2)*z(3)*ln2 + -2*z(2)*lih(4) + 5/4*z(4)*ln2^2"
-                   " + -1/12*z(2)*ln2^4 + 1*LS{l(1)/n^5 alt}"
-                   " + -1*LS{l(2)/n^4} + -4*LS{h(2)/n^4 alt}"
-                   " + -8*LS{h(1)/n^5 alt}"),
-            _ident("closing",
-                   [("h(1)*l(1)/n^3 alt", 1), ("h(1)*l(3)/n alt", -1)],
-                   "15/4*z(4)*ln2 + -9/8*z(2)*z(3) + -1/2*z(3)*ln2^2"),
-        ]
-        for key in ("h(1)/n^3 alt", "l(1)/n^3 alt", "l(2)/n^2",
-                    "h(2)/n^2 alt"):
-            ids.append(Identity("S1:%s" % key,
-                                ((parse_sumspec(key), Fraction(1)),),
-                                _table_lookup(key)))
-        _REGRESSION = tuple(ids)
-    return list(_REGRESSION)
+    return list(_regression_identities())
+
+
+@cache
+def _regression_identities() -> tuple[Identity, ...]:
+    ids = [
+        _ident("Eq(3.6)",
+               [("l(1)*h(3)/n^2", 1), ("l(1)*h(2)/n^3", 1)],
+               "3/4*z(3)^2 + 7/4*z(6) + 5/8*z(2)*z(3)*ln2"
+               " + -2*z(2)*lih(4) + 5/4*z(4)*ln2^2 + -1/12*z(2)*ln2^4"),
+        _ident("Eq(3.7)",
+               [("h(2)*h(3)/n alt", 1)],
+               "-161/64*z(6) + 31/16*z(5)*ln2 + 9/32*z(3)^2"
+               " + 3/8*z(2)*z(3)*ln2 + 2*z(2)*lih(4) + -5/4*z(4)*ln2^2"
+               " + 1/12*z(2)*ln2^4 + 1*LS{h(2)/n^4 alt}"
+               " + -1*LS{l(3)/n^3}"),
+        _ident("Eq(3.8)",
+               [("l(1)*l(3)/n^2 alt", 1), ("l(1)*l(2)/n^3 alt", 1)],
+               "-385/128*z(6) + 31/8*z(5)*ln2 + 3/32*z(3)^2"
+               " + 9/8*z(2)*z(3)*ln2 + 1*z(2)*lih(4) + -5/8*z(4)*ln2^2"
+               " + 1/24*z(2)*ln2^4"),
+        _ident("Eq(3.9)",
+               [("l(2)*l(3)/n alt", 1)],
+               "163/128*z(6) + -31/16*z(5)*ln2 + 3/16*z(3)^2"
+               " + -3/4*z(2)*z(3)*ln2 + -1*z(2)*lih(4) + 5/8*z(4)*ln2^2"
+               " + -1/24*z(2)*ln2^4 + 1*LS{l(2)/n^4} + 1*LS{l(3)/n^3}"),
+        _ident("Eq(3.10)",
+               [("l(1)*h(2)/n^3", 1)],
+               "29/8*z(2)*z(3)*ln2 + -93/32*z(5)*ln2 + -1855/128*z(6)"
+               " + 17/16*z(3)^2 + -1*LS{l(1)/n^5 alt} + 1*LS{l(2)/n^4}"
+               " + 4*LS{h(2)/n^4 alt} + 8*LS{h(1)/n^5 alt}"),
+        _ident("Eq(3.11)",
+               [("l(1)*h(3)/n^2", 1)],
+               "2079/128*z(6) + 93/32*z(5)*ln2 + -5/16*z(3)^2"
+               " + -3*z(2)*z(3)*ln2 + -2*z(2)*lih(4) + 5/4*z(4)*ln2^2"
+               " + -1/12*z(2)*ln2^4 + 1*LS{l(1)/n^5 alt}"
+               " + -1*LS{l(2)/n^4} + -4*LS{h(2)/n^4 alt}"
+               " + -8*LS{h(1)/n^5 alt}"),
+        _ident("closing",
+               [("h(1)*l(1)/n^3 alt", 1), ("h(1)*l(3)/n alt", -1)],
+               "15/4*z(4)*ln2 + -9/8*z(2)*z(3) + -1/2*z(3)*ln2^2"),
+    ]
+    for key in ("h(1)/n^3 alt", "l(1)/n^3 alt", "l(2)/n^2",
+                "h(2)/n^2 alt"):
+        ids.append(Identity("S1:%s" % key,
+                            ((parse_sumspec(key), Fraction(1)),),
+                            _table_lookup(key)))
+    return tuple(ids)
 
 
 def regression_tags() -> list[str]:
@@ -1219,7 +1149,7 @@ _TAG_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\((.*)\)\Z")
 
 def resolve_tag(tag: str) -> Identity | SeriesIdentity:
     """Identity for a catalog tag: a fixed benchmark tag or a family call
-    like "cor2_7(2,0)" or "product_expand(s,t)"."""
+    like "cor2_7(2,0)" or "product_expand(3,2,1/2)"."""
     tag = tag.strip()
     for ident in regression_identities():
         if ident.provenance == tag:

@@ -1,11 +1,13 @@
 """Numeric certification of identities and the fixed regression suite.
 
-`verify` evaluates both sides of one identity at a requested precision
-and returns a `VerificationReport`; `run_suite` walks the fixed catalog:
-printed reference constants, the benchmark identities, closed forms
-cross-checked against the double-series evaluator, brute-force
-cross-checks of the degree-one formulas, and a deliberately perturbed
-identity that must fail (the negative control).
+Every verify target is one check: two certified sides, a digit cap and a
+negative-control flag. `verify` builds the check of an identity object,
+a suite tag (looked up whole, never taken apart) or a family instance
+tag, and compares its sides in a `VerificationReport`. `run_suite` walks
+the suite's checks in order: printed reference constants, the benchmark
+identities, closed forms cross-checked against the double-series
+evaluator, brute-force cross-checks of the degree-one formulas, and a
+deliberately perturbed identity that must fail (the negative control).
 
 Brute-force reference values here are computed from direct partial sums
 plus Euler-Maclaurin and Hurwitz-zeta tails using mpmath primitives
@@ -18,7 +20,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 from mpmath import mp
 
@@ -33,11 +36,10 @@ from .engine import eval_sum, eval_I, eval_R, lihalf_value
 from .algebra import (
     Atom,
     SymbolicValue,
+    parse_symbolic,
     sv_add,
     sv_numeric,
-    sv_sub,
     sv_term,
-    sym_linear,
 )
 from .reduce import (
     Identity,
@@ -45,7 +47,6 @@ from .reduce import (
     euler_linear,
     fs_odd_linear,
     integral_I_closed,
-    regression_identities,
     resolve_tag,
 )
 
@@ -65,8 +66,9 @@ __all__ = [
 class VerificationReport:
     """Outcome of one lhs-vs-rhs comparison.
 
-    status is "pass", "fail", or "inconclusive" (evaluation budget
-    exhausted before both sides were available). The pass rule is
+    status is "pass", "fail", or "inconclusive": a side's value could not
+    be certified, because the term budget ran out or the lo and hi runs
+    disagreed. The pass rule is
     absDiff < 10**(3 - digitsRequested) * max(1, |lhs|): a three-digit
     margin absorbs terminal rounding in printed reference values.
     A negative-control report is expected to fail; suite_ok accounts
@@ -203,39 +205,6 @@ def table_constants() -> list[tuple[str, str, str, int]]:
     return [(t, s, v, c) for t, s, v, c in _TABLE_CONSTANTS]
 
 
-def _printed_value(text: str, digits: int) -> PrecReal:
-    with at_dps(len(text) + 10):
-        return PrecReal(mp.mpf(text), digits)
-
-
-# The two endpoint-integral values printed with explicit closed forms.
-def _r_display(tag: str) -> tuple[tuple[int, int], SymbolicValue]:
-    alt_l1_5 = sym_linear("l(1)/n^5 alt")
-    if tag == "R(4,1)":
-        val = sv_sub(alt_l1_5,
-                     sv_term(Fraction(31, 16), [(Atom.zeta(5), 1),
-                                                (Atom.ln2(), 1)]))
-        return (4, 1), val
-    if tag == "R(2,3)":
-        val = sv_add(
-            alt_l1_5,
-            sv_term(Fraction(7, 8), [(Atom.zeta(6), 1)]),
-            sv_term(Fraction(-3, 4), [(Atom.zeta(3), 2)]),
-            sv_term(Fraction(-31, 16), [(Atom.zeta(5), 1),
-                                        (Atom.ln2(), 1)]),
-        )
-        return (2, 3), val
-    raise ValueError(f"unknown R display {tag!r}")
-
-
-def _negative_control() -> Identity:
-    base = next(i for i in regression_identities()
-                if i.provenance == "Eq(3.6)")
-    bump = sv_term(Fraction(3, 5) - Fraction(3, 4), [(Atom.zeta(3), 2)])
-    return Identity("NegControl:Eq(3.6)", base.lhs,
-                    sv_add(base.rhs, bump))
-
-
 # ---------------------------------------------------------------------------
 # Brute-force reference values (engine-independent).
 # ---------------------------------------------------------------------------
@@ -320,108 +289,138 @@ _BRUTE_DIGITS_CAP = 12
 
 
 # ---------------------------------------------------------------------------
-# Tag resolution and verification.
+# Checks: one per verify target, one path from tag to report.
 # ---------------------------------------------------------------------------
 
 
-def _special_job(tag: str, max_terms: int | None):
-    """Resolve suite-only tags; returns (lhs_fn, rhs_fn, cap, control)
-    or None when the tag belongs to the identity catalog."""
-    for t, spec, printed, cap in _TABLE_CONSTANTS:
-        if tag == t:
-            if spec:
-                lhs = lambda d: eval_sum(spec, d, max_terms=max_terms)
-            else:
-                lhs = lambda d: lihalf_value(4, d)
-            rhs = lambda d: _printed_value(printed, d)
-            return lhs, rhs, cap, False
-    if tag in ("R(4,1)", "R(2,3)"):
-        (p, q), sym = _r_display(tag)
-        return (lambda d: eval_R(p, q, d, max_terms=max_terms),
-                lambda d: sv_numeric(sym, d, max_terms=max_terms), None, False)
-    if tag.startswith("I(") and tag.endswith(")"):
-        inner = tag[2:-1].split(",")
-        if len(inner) == 2:
-            p, q = int(inner[0]), int(inner[1])
-            sym = integral_I_closed(p, q)
-            return (lambda d: sv_numeric(sym, d, max_terms=max_terms),
-                    lambda d: eval_I(p, q, 1, d, max_terms=max_terms),
-                    None, False)
-    if tag.startswith("brute:euler(") and tag.endswith(")"):
-        k = int(tag[len("brute:euler("):-1])
-        sym = euler_linear(k)
-        return (lambda d: sv_numeric(sym, d, max_terms=max_terms),
-                lambda d: brute_euler(k, d), _BRUTE_DIGITS_CAP, False)
-    if tag.startswith("brute:fs(") and tag.endswith(")"):
-        p, q = (int(x) for x in tag[len("brute:fs("):-1].split(","))
-        sym = fs_odd_linear(p, q)
-        return (lambda d: sv_numeric(sym, d, max_terms=max_terms),
-                lambda d: brute_fs(p, q, d), _BRUTE_DIGITS_CAP, False)
-    if tag == "NegControl:Eq(3.6)":
-        ident = _negative_control()
-        return (lambda d: ident.numeric_lhs(d, max_terms=max_terms),
-                lambda d: ident.numeric_rhs(d, max_terms=max_terms),
-                None, True)
-    return None
+@dataclass(frozen=True)
+class _Check:
+    """Two sides, each (digits, max_terms) -> certified PrecReal; a digit
+    cap (None for none); and whether the entry is a negative control."""
+
+    lhs: Callable[[int, int | None], PrecReal]
+    rhs: Callable[[int, int | None], PrecReal]
+    cap: int | None = None
+    control: bool = False
 
 
-def verify(target, digits: int = 25, args=None,
+def _symbolic(value: SymbolicValue) -> Callable[[int, int | None], PrecReal]:
+    return lambda d, m: sv_numeric(value, d, max_terms=m)
+
+
+def _identity_check(ident: Identity | SeriesIdentity) -> _Check:
+    return _Check(ident.numeric_lhs, ident.numeric_rhs)
+
+
+def _catalog_check(tag: str) -> _Check:
+    return _identity_check(resolve_tag(tag))
+
+
+def _table_check(spec: str, printed: str, cap: int) -> _Check:
+    def rhs(digits: int, max_terms: int | None) -> PrecReal:
+        with at_dps(len(printed) + 10):
+            return PrecReal(mp.mpf(printed), digits)
+
+    if spec:
+        return _Check(lambda d, m: eval_sum(spec, d, max_terms=m), rhs, cap)
+    return _Check(lambda d, m: lihalf_value(4, d), rhs, cap)
+
+
+def _r_check(p: int, q: int, closed: str) -> _Check:
+    return _Check(lambda d, m: eval_R(p, q, d, max_terms=m),
+                  _symbolic(parse_symbolic(closed)))
+
+
+def _integral_check(p: int, q: int) -> _Check:
+    return _Check(_symbolic(integral_I_closed(p, q)),
+                  lambda d, m: eval_I(p, q, 1, d, max_terms=m))
+
+
+def _brute_check(closed: Callable[..., SymbolicValue],
+                 brute: Callable[..., PrecReal], *params: int) -> _Check:
+    return _Check(_symbolic(closed(*params)),
+                  lambda d, m: brute(*params, d), _BRUTE_DIGITS_CAP)
+
+
+def _negative_control() -> _Check:
+    base = resolve_tag("Eq(3.6)")
+    bump = sv_term(Fraction(3, 5) - Fraction(3, 4), [(Atom.zeta(3), 2)])
+    ident = Identity("NegControl:Eq(3.6)", base.lhs, sv_add(base.rhs, bump))
+    return _Check(ident.numeric_lhs, ident.numeric_rhs, control=True)
+
+
+# The fixed regression suite: each tag, in execution order, with the factory
+# of its check. Factories run per call, so nothing evaluates at import.
+_SUITE: dict[str, Callable[[], _Check]] = {
+    **{tag: partial(_table_check, spec, printed, cap)
+       for tag, spec, printed, cap in _TABLE_CONSTANTS},
+    **{tag: partial(_catalog_check, tag)
+       for tag in ("S1:h(1)/n^3 alt", "S1:l(1)/n^3 alt", "S1:l(2)/n^2",
+                   "S1:h(2)/n^2 alt", *(f"Eq(3.{k})" for k in range(6, 12)))},
+    "R(4,1)": partial(_r_check, 4, 1,
+                      "-31/16*z(5)*ln2 + 1*LS{l(1)/n^5 alt}"),
+    "R(2,3)": partial(_r_check, 2, 3,
+                      "-3/4*z(3)^2 + -31/16*z(5)*ln2 + 7/8*z(6)"
+                      " + 1*LS{l(1)/n^5 alt}"),
+    "closing": partial(_catalog_check, "closing"),
+    **{f"I({p},{q})": partial(_integral_check, p, q)
+       for p, q in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 2))},
+    **{f"brute:euler({k})": partial(_brute_check, euler_linear, brute_euler, k)
+       for k in range(2, 9)},
+    **{f"brute:fs({p},{q})": partial(_brute_check, fs_odd_linear, brute_fs,
+                                     p, q)
+       for p, q in _BRUTE_PAIRS if p > 1},
+    **{tag: partial(_catalog_check, tag)
+       for tag in ("thm2_5(1,2)", "thm2_5(2,1)", "thm2_5(2,2)")},
+    "NegControl:Eq(3.6)": _negative_control,
+}
+
+
+def _resolve(target) -> tuple[str, _Check]:
+    """Report name and check of an identity object or a tag."""
+    if not isinstance(target, (Identity, SeriesIdentity)):
+        tag = str(target).strip()
+        factory = _SUITE.get(tag)
+        if factory is not None:
+            return tag, factory()
+        target = resolve_tag(tag)
+    return target.provenance, _identity_check(target)
+
+
+def verify(target, digits: int = 25,
            max_terms: int | None = None) -> VerificationReport:
-    """Certify one identity (object or catalog tag) at `digits` digits.
+    """Certify one identity at `digits` digits.
 
-    Series identities accept optional rational `args`. Every sum is
-    evaluated under the term budget `max_terms`. Budget exhaustion yields
-    an inconclusive report instead of an exception; anything else
-    propagates.
+    `target` is an `Identity` or `SeriesIdentity`, or a tag: a suite tag
+    (see `suite_tags`) or a family instance such as "cor2_7(3,0)". Every
+    sum is evaluated under the term budget `max_terms`. A value that
+    cannot be certified yields an inconclusive report instead of an
+    exception; anything else propagates.
     """
     if digits < 5:
         raise ValueError("digits must be >= 5")
     # one clock for the whole call, tag resolution included
     t0 = time.perf_counter()
-    if not isinstance(target, (Identity, SeriesIdentity)):
-        tag = str(target).strip()
-        job = _special_job(tag, max_terms)
-        if job is not None:
-            lhs_fn, rhs_fn, cap, control = job
-            eff = min(digits, cap) if cap is not None else digits
-            try:
-                lhs = lhs_fn(eff)
-                rhs = rhs_fn(eff)
-            except AccelerationError as exc:
-                return _inconclusive(tag, eff, control, t0, exc)
-            note = f"requested digits capped at {cap}" if cap is not None \
-                and digits > cap else ""
-            return _report(tag, lhs, rhs, eff, control, t0, note)
-        target = resolve_tag(tag)
-    extra = {"args": args} if isinstance(target, SeriesIdentity) else {}
+    name, check = _resolve(target)
+    eff = digits if check.cap is None else min(digits, check.cap)
     try:
-        lhs = target.numeric_lhs(digits, max_terms=max_terms, **extra)
-        rhs = target.numeric_rhs(digits, max_terms=max_terms, **extra)
+        lhs = check.lhs(eff, max_terms)
+        rhs = check.rhs(eff, max_terms)
     except AccelerationError as exc:
-        return _inconclusive(target.provenance, digits, False, t0, exc)
-    return _report(target.provenance, lhs, rhs, digits, False, t0)
+        return _inconclusive(name, eff, check.control, t0, exc)
+    note = f"requested digits capped at {check.cap}" if eff < digits else ""
+    return _report(name, lhs, rhs, eff, check.control, t0, note)
 
 
 def suite_tags() -> list[str]:
     """The fixed regression-suite catalog, in execution order."""
-    tags = [t for t, _, _, _ in _TABLE_CONSTANTS]
-    tags += ["S1:h(1)/n^3 alt", "S1:l(1)/n^3 alt", "S1:l(2)/n^2",
-             "S1:h(2)/n^2 alt"]
-    tags += [f"Eq(3.{k})" for k in range(6, 12)]
-    tags += ["R(4,1)", "R(2,3)", "closing"]
-    tags += ["I(1,1)", "I(1,2)", "I(2,2)", "I(2,3)", "I(3,2)"]
-    tags += [f"brute:euler({k})" for k in range(2, 9)]
-    tags += ["brute:fs(2,3)", "brute:fs(3,2)", "brute:fs(2,5)",
-             "brute:fs(4,3)"]
-    tags += ["thm2_5(1,2)", "thm2_5(2,1)", "thm2_5(2,2)"]
-    tags += ["NegControl:Eq(3.6)"]
-    return tags
+    return list(_SUITE)
 
 
 def run_suite(digits: int = 25,
               max_terms: int | None = None) -> list[VerificationReport]:
     """Verify the whole fixed catalog in order. Always runs every entry."""
-    return [verify(tag, digits, max_terms=max_terms) for tag in suite_tags()]
+    return [verify(tag, digits, max_terms=max_terms) for tag in _SUITE]
 
 
 def suite_ok(reports) -> bool:

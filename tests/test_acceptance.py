@@ -8,7 +8,6 @@ import time
 from fractions import Fraction
 
 import mpmath as mp
-import pytest
 
 from helpers import close_digits, diff_of
 from eulersum.algebra import sv_numeric, sv_sub
@@ -38,11 +37,6 @@ PRINTED = {
     "l(1)*h(2)/n^3": "1.15935334356951415975457027807",
     "l(1)*h(3)/n^2": "1.47723102170162037670053143416",
 }
-
-
-@pytest.fixture(scope="module")
-def suite25():
-    return run_suite(25)
 
 
 def test_criterion_1_printed_constants(capsys):

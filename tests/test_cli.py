@@ -127,6 +127,13 @@ def test_verify_unknown_tag(capsys):
     assert "unknown identity tag" in err
 
 
+def test_verify_tag_outside_the_suite_exits_1(capsys):
+    # I(p,q) is a suite entry only for its five listed pairs
+    code, _, err = run(capsys, "verify", "--id", "I(4,4)")
+    assert code == 1
+    assert "unknown identity tag" in err
+
+
 def test_constants_lists_eight_entries(capsys):
     code, out, _ = run(capsys, "constants", "--digits", "12")
     assert code == 0

@@ -196,12 +196,15 @@ def test_resolve_tag_families_and_errors():
     ident = resolve_tag("cor2_7(2,0)")
     assert isinstance(ident, Identity)
     assert ident.parameters == (2, 0)
-    series = resolve_tag("product_expand(2,3)")
+    series = resolve_tag("product_expand(2,3,1/2)")
     assert isinstance(series, SeriesIdentity)
+    assert series.parameters == (2, 3, Fraction(1, 2))
     with pytest.raises(ValueError):
         resolve_tag("Eq(9.9)")
     with pytest.raises(ValueError):
         resolve_tag("cor2_7(2)")  # wrong arity
+    with pytest.raises(ValueError):
+        resolve_tag("product_expand(2,3)")  # x is a family parameter
 
 
 def test_identity_family_catalog():
@@ -222,22 +225,20 @@ def test_identity_family_catalog():
     ("thm2_6", (2, 0, Fraction(1, 2))),
     ("thm2_6", (3, 0, Fraction(-1, 2))),
     ("sym3_1", (2, 1, 1, Fraction(1, 2), Fraction(1, 3), Fraction(-1, 2))),
-    ("product_expand", (2, 3)),
+    ("product_expand", (2, 3, Fraction(-1, 2))),
 ])
 def test_family_instances_verify_numerically(name, params):
     ident = identity_family(name, params)
-    # product_expand leaves its argument free: bind it off the default 1/2
-    extra = {"args": (Fraction(-1, 2),)} if name == "product_expand" else {}
-    assert close_digits(ident.numeric_lhs(18, **extra),
-                        ident.numeric_rhs(18, **extra), 15)
+    assert close_digits(ident.numeric_lhs(18), ident.numeric_rhs(18), 15)
 
 
 def test_series_identity_product_expand():
-    series = product_expand(2, 3)
+    series = product_expand(2, 3, Fraction(1, 2))
     lhs = series.numeric_lhs(15)
     rhs = series.numeric_rhs(15)
     assert close_digits(lhs, rhs, 13)
-    assert "x" in series.domain or series.arity >= 0  # smoke: metadata present
+    assert series.provenance == "product_expand(2,3,1/2)"
+    assert str(series).startswith("product_expand(2,3,1/2): (1*Li_2(1/2)")
 
 
 def test_series_identity_rejects_divergent_binding():
@@ -245,6 +246,12 @@ def test_series_identity_rejects_divergent_binding():
     with pytest.raises(DivergentSumError):
         identity_family("sym3_1",
                         (2, 1, 1, Fraction(1, 2), Fraction(-1), Fraction(1)))
+
+
+def test_product_expand_rejects_divergent_argument_at_construction():
+    # Li_1(1) diverges; the identity is refused when built, not evaluated
+    with pytest.raises(DivergentSumError):
+        product_expand(1, 1, 1)
 
 
 # --- quadratic reduction --------------------------------------------------

@@ -46,10 +46,19 @@ def test_negative_control_fails_loudly():
 
 
 def test_verify_series_identity_with_args():
-    from fractions import Fraction
-    series = resolve_tag("product_expand(2,3)")
-    report = verify(series, 15, args=(Fraction(1, 3),))
+    # the argument is bound through the family parameter, off 1/2
+    series = resolve_tag("product_expand(2,3,1/3)")
+    report = verify(series, 15)
     assert report.passed
+    assert report.provenance == "product_expand(2,3,1/3)"
+
+
+@pytest.mark.parametrize("tag", ["I(4,4)", "brute:fs(1,2)",
+                                 "product_expand(2,3)"])
+def test_verify_rejects_tags_outside_the_suite_and_families(tag):
+    # suite entries are looked up by their exact tag, never sliced apart
+    with pytest.raises(ValueError):
+        verify(tag, 15)
 
 
 def test_report_json_shape():
