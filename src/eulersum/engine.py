@@ -12,20 +12,21 @@ of zeta values, alternating series (accelerated with the Chebyshev scheme
 of Cohen, Rodriguez Villegas and Zagier), or positive series with algebraic
 decay at least 1/n**2. Every factor value a summer reads at a given n comes
 from the dense tables of n <= n_dense: the alternating summer takes fewer
-terms than n_dense at every precision and boost. The Euler-Maclaurin and
-psi-series expansions only seed those tables and constants and build the
-large-n tail of a positive piece; their smallest kept term is checked
-against the precision target.
+terms than n_dense at every precision and boost. The psi-series expansion
+only seeds the psi tables; its smallest kept term is checked against the
+precision target. Every sum past the tables, sum_{n>N} L**i n**-j with
+L = ln n and N = n_dense, is the workspace's one Euler-Maclaurin pass at
+N+1 (`hurwitz_tail`), stopped relative to the value; zeta(k) and Euler's
+gamma are the table's last entry plus that tail.
 
 A positive piece prod h(k)**e * prod psi_k**c / n**q is summed as a direct
 head plus an exact asymptotic tail (after Flajolet and Salvy). The head
 n <= N adds the summand from the dense factor tables, so it never runs an
-expansion per term; hence N is the dense-table length n_dense, which grows
-with the working precision and the boost. Past N the factor expansions
-in x = 1/n and L = ln n, built from the exact Bernoulli and psi-series
-coefficients, are multiplied into sum c_ij L**i x**j, and each term is
-summed in closed form: sum_{n>N} L**i n**-j = (-1)**i zeta^(i)(j, N+1).
-The expansion is carried to dps + 10 orders past its leading one (about
+expansion per term; hence N is n_dense, which grows with the working
+precision and the boost. Past N the factor expansions in x = 1/n and L,
+built from the exact Bernoulli and psi-series coefficients, are multiplied
+into sum c_ij L**i x**j, and each term is summed by `hurwitz_tail`. The
+expansion is carried to dps + 10 orders past its leading one (about
 0.7 * dps are needed at N = n_dense) and summed until two consecutive
 orders fall below the target. N and the order depend on the precision
 alone, so the two staggered runs truncate differently.
@@ -43,6 +44,7 @@ of its request, so a derived value is certified once, as a whole.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,11 +118,6 @@ def _zeta_tail_coeff(k: int, r: int) -> Fraction:
     return bernoulli_frac(2 * r) * rise / math.factorial(2 * r)
 
 
-@functools.lru_cache(maxsize=None)
-def _harmonic_tail_coeff(r: int) -> Fraction:
-    return bernoulli_frac(2 * r) / (2 * r)
-
-
 # ---------------------------------------------------------------------------
 # Per-precision workspace.
 # ---------------------------------------------------------------------------
@@ -141,31 +138,25 @@ class _Workspace:
         # orders of the positive-tail expansion past its leading one
         self.tail_orders = dps + 10
         self.ln2 = mp.ln(2)
-        self._zeta: dict[int, mp.mpf] = {}
         self._lihalf: dict[int, mp.mpf] = {}
         self._zl_dense: dict[int, list[mp.mpf]] = {}
         self._psi_dense: dict[int, list[mp.mpf]] = {}
         self._beta_mpf: dict[int, list[mp.mpf]] = {}
         self._hurwitz: dict[tuple[int, int], mp.mpf] = {}
-        self._gamma: mp.mpf | None = None
+        self._em_weights: list[mp.mpf] = []
 
     # -- asymptotic series -------------------------------------------------
 
-    def _adaptive_tail(self, first_terms: Iterable[mp.mpf],
+    def _adaptive_tail(self, first_terms: Iterable[tuple[mp.mpf, mp.mpf]],
                        target: mp.mpf, what: str) -> mp.mpf:
-        """Sum an asymptotic series until two consecutive terms fall below
-        target, insisting the terms are still shrinking at the cutoff.
+        """Sum an asymptotic series of (term, size) pairs, where size bounds
+        |term| without the cancellation a sum of several parts may have,
+        until two consecutive sizes fall below target, insisting the sizes
+        are still shrinking at the cutoff.
 
         Exactly-zero coefficients occur mid-series (every second psi
         coefficient vanishes), so a single small term must not terminate.
         """
-        return self._adaptive_sized(((t, abs(t)) for t in first_terms),
-                                   target, what)
-
-    def _adaptive_sized(self, first_terms: Iterable[tuple[mp.mpf, mp.mpf]],
-                       target: mp.mpf, what: str) -> mp.mpf:
-        """_adaptive_tail over (term, size) pairs, where size bounds |term|
-        without the cancellation a sum of several parts may have."""
         acc = mp.mpf(0)
         prev = mp.inf
         below = 0
@@ -185,24 +176,6 @@ class _Workspace:
             prev = at
         raise AccelerationError(f"asymptotic series for {what} ran too long")
 
-    def zeta_tail(self, k: int, a: int | mp.mpf) -> mp.mpf:
-        """sum_{j >= a} j**-k for integer a, via Euler-Maclaurin at a."""
-        av = mp.mpf(a)
-        lead = av ** (1 - k) / (k - 1)
-        target = mp.eps * max(abs(lead), mp.mpf(10) ** (-self.dps)) / 16
-
-        def terms():
-            inv2 = av ** -2
-            power = av ** (1 - k) * inv2
-            r = 1
-            while r < 4 * self.dps:
-                yield mpf_from_fraction(_zeta_tail_coeff(k, r)) * power
-                power *= inv2
-                r += 1
-
-        corr = self._adaptive_tail(terms(), target, f"zeta tail k={k}")
-        return lead + av ** -k / 2 + corr
-
     def _beta_asym(self, k: int, x) -> mp.mpf:
         xv = mp.mpf(x)
         lead = xv ** -k / 2
@@ -219,56 +192,89 @@ class _Workspace:
                     coeffs = coeffs + [mpf_from_fraction(c) for c in
                                        _beta_coeffs(k, m + 15)[len(coeffs):]]
                     self._beta_mpf[k] = coeffs
-                yield coeffs[m] * power
+                yield coeffs[m] * power, abs(coeffs[m]) * power
                 power *= invx
                 m += 1
 
         return self._adaptive_tail(terms(), target, f"psi series k={k}")
 
+    def _em_weight(self, r: int) -> mp.mpf:
+        """B_2r/(2r)! * a**(1-2r) at a = n_dense+1, converted once."""
+        weights = self._em_weights
+        if len(weights) < r:
+            a = mp.mpf(self.n_dense + 1)
+            # extended and published as in _beta_coeffs
+            weights = weights + [
+                mpf_from_fraction(bernoulli_frac(2 * m) / math.factorial(2 * m))
+                * a ** (1 - 2 * m) for m in range(len(weights) + 1, r + 16)]
+            self._em_weights = weights
+        return weights[r - 1]
+
     def hurwitz_tail(self, j: int, i: int) -> mp.mpf:
-        """sum_{n > n_dense} ln(n)**i n**-j = (-1)**i zeta^(i)(j, n_dense+1)."""
+        """sum_{n > n_dense} ln(n)**i n**-j = (-1)**i zeta^(i)(j, a), where
+        a = n_dense+1, by Euler-Maclaurin at a for f(x) = ln(x)**i x**-j:
+
+            sum_{n>=a} f(n) = int_a^oo f + f(a)/2 - sum_r B_2r/(2r)! f^(2r-1)(a)
+
+        with int_a^oo f = a**(1-j) sum_k i!/k! ln(a)**k / (j-1)**(i-k+1) and
+        f^(m)(a) = a**-(j+m) sum_k c_k ln(a)**k, whose integer c_k follow
+        from d/dx ln(x)**k x**-s = x**-(s+1) (k ln(x)**(k-1) - s ln(x)**k).
+        At j = 1 the integral is its finite part -ln(a)**(i+1)/(i+1), so
+        zl(1, n_dense) + hurwitz_tail(1, 0) is Euler's gamma. Past j = 2a
+        the series needs ever more terms (from j near 2*pi*a on, its terms
+        grow from the first), while f(n) falls by e**(-j/a) < e**-2 per
+        step, so there the terms f(n) are summed directly.
+        """
         key = (j, i)
         val = self._hurwitz.get(key)
         if val is None:
-            val = self._hurwitz[key] = \
-                (-1) ** i * mp.zeta(j, self.n_dense + 1, i)
+            a = self.n_dense + 1
+            ln_a = mp.ln(a)
+            lpow = [1] + [ln_a ** k for k in range(1, i + 1)]
+            power = mp.mpf(a) ** -j
+            if j == 1:
+                integral = -ln_a * lpow[i] / (i + 1)
+            else:
+                integral = a * power * mp.fsum(
+                    math.factorial(i) // math.factorial(k) * lpow[k]
+                    / mp.mpf(j - 1) ** (i - k + 1) for k in range(i + 1))
+            head = integral + power * lpow[i] / 2
+            target = mp.eps * abs(head) / 16
+            what = f"tail j={j} i={i}"
+
+            def corrections():
+                # the series in units of a**-j; c is a**(j+m) f^(m)(a) in
+                # powers of ln(a)
+                c = [0] * i + [1, 0]
+                for m in itertools.count(1):
+                    c = [(k + 1) * c[k + 1] - (j + m - 1) * c[k]
+                         for k in range(i + 1)] + [0]
+                    if m % 2:
+                        w = self._em_weight((m + 1) // 2)
+                        yield (-w * sum(ck * lk for ck, lk in zip(c, lpow)),
+                               abs(w) * sum(abs(ck) * lk
+                                            for ck, lk in zip(c, lpow)))
+
+            if j > 2 * a:
+                terms = (mp.ln(n) ** i * mp.mpf(n) ** -j
+                         for n in itertools.count(a))
+                val = self._adaptive_tail(((t, t) for t in terms), target, what)
+            else:
+                val = head + power * self._adaptive_tail(
+                    corrections(), target / power, what)
+            self._hurwitz[key] = val
         return val
 
     # -- constants -----------------------------------------------------------
 
     @property
     def gamma(self) -> mp.mpf:
-        if self._gamma is None:
-            n = self.n_dense
-            h = mp.mpf(0)
-            for j in range(1, n + 1):
-                h += mp.mpf(1) / j
-            nv = mp.mpf(n)
-            target = mp.eps / 16
-
-            def terms():
-                inv2 = nv ** -2
-                power = inv2
-                r = 1
-                while r < 4 * self.dps:
-                    yield mpf_from_fraction(_harmonic_tail_coeff(r)) * power
-                    power *= inv2
-                    r += 1
-
-            corr = self._adaptive_tail(terms(), target, "gamma expansion")
-            self._gamma = h - mp.ln(nv) - 1 / (2 * nv) + corr
-        return self._gamma
+        return self.zl(1, self.n_dense) + self.hurwitz_tail(1, 0)
 
     def zeta(self, k: int) -> mp.mpf:
         if k < 2:
             raise ValueError("zeta needs k >= 2")
-        if k not in self._zeta:
-            n = self.n_dense
-            acc = mp.mpf(0)
-            for j in range(n, 0, -1):
-                acc += mp.mpf(j) ** -k
-            self._zeta[k] = acc + self.zeta_tail(k, n + 1)
-        return self._zeta[k]
+        return self.zl(k, self.n_dense) + self.hurwitz_tail(k, 0)
 
     def zetabar(self, k: int) -> mp.mpf:
         # alternating zeta; k = 1 is ln 2
@@ -452,15 +458,12 @@ def _factor_expansion(ws: _Workspace, kind: str, k: int,
                       top: int) -> _Expansion:
     """Large-n expansion of one factor through x**top, from the exact
     Euler-Maclaurin and psi-series coefficients."""
-    if kind == "h" and k == 1:
-        # H_n = L + gamma + x/2 - sum_r B_2r/(2r) x**2r
-        out = {(0, 1): mp.mpf(1), (0, 0): ws.gamma, (1, 0): mp.mpf(1) / 2}
-        for r in range(1, top // 2 + 1):
-            out[(2 * r, 0)] = -mpf_from_fraction(_harmonic_tail_coeff(r))
-    elif kind == "h":
-        # zeta(k) minus the Euler-Maclaurin tail sum_{j>n} j**-k
-        out = {(0, 0): ws.zeta(k), (k - 1, 0): mp.mpf(-1) / (k - 1),
-               (k, 0): mp.mpf(1) / 2}
+    if kind == "h":
+        # zeta(k) minus the Euler-Maclaurin tail sum_{j>n} j**-k; at k = 1
+        # gamma and L stand for zeta(1) and -x**0/0
+        out = {(0, 0): ws.gamma, (0, 1): mp.mpf(1)} if k == 1 else \
+            {(0, 0): ws.zeta(k), (k - 1, 0): mp.mpf(-1) / (k - 1)}
+        out[(k, 0)] = mp.mpf(1) / 2
         for r in range(1, (top - k + 1) // 2 + 1):
             out[(k - 1 + 2 * r, 0)] = -mpf_from_fraction(_zeta_tail_coeff(k, r))
     else:
@@ -521,8 +524,8 @@ def _head_tail_sum(ws: _Workspace, piece: _Piece, budget: Budget,
                 size += abs(c) * z
             yield val, size
 
-    return head + ws._adaptive_sized(orders(), abs_err / 4,
-                                     "positive tail expansion")
+    return head + ws._adaptive_tail(orders(), abs_err / 4,
+                                    "positive tail expansion")
 
 
 def _eval_pieces(spec: SumSpec, ws: _Workspace, budget: Budget) -> mp.mpf:

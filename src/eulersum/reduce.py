@@ -97,6 +97,7 @@ __all__ = [
     "regression_identities",
     "resolve_tag",
     "regression_tags",
+    "UnknownTagError",
 ]
 
 
@@ -1147,6 +1148,10 @@ def regression_tags() -> list[str]:
 _TAG_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\((.*)\)\Z")
 
 
+class UnknownTagError(ValueError):
+    """A tag that names no fixed identity and no family."""
+
+
 def resolve_tag(tag: str) -> Identity | SeriesIdentity:
     """Identity for a catalog tag: a fixed benchmark tag or a family call
     like "cor2_7(2,0)" or "product_expand(3,2,1/2)"."""
@@ -1161,7 +1166,7 @@ def resolve_tag(tag: str) -> Identity | SeriesIdentity:
             else ()
         if name in _FAMILIES:
             return identity_family(name, parts)
-    raise ValueError(
+    raise UnknownTagError(
         f"unknown identity tag {tag!r}; fixed tags: "
         + ", ".join(regression_tags())
         + "; families: " + ", ".join(family_names()))

@@ -44,7 +44,9 @@ from .algebra import (
 from .reduce import (
     Identity,
     SeriesIdentity,
+    UnknownTagError,
     euler_linear,
+    family_names,
     fs_odd_linear,
     integral_I_closed,
     resolve_tag,
@@ -383,7 +385,13 @@ def _resolve(target) -> tuple[str, _Check]:
         factory = _SUITE.get(tag)
         if factory is not None:
             return tag, factory()
-        target = resolve_tag(tag)
+        try:
+            target = resolve_tag(tag)
+        except UnknownTagError:
+            raise UnknownTagError(
+                f"unknown identity tag {tag!r}; suite tags: "
+                + ", ".join(_SUITE) + "; families: "
+                + ", ".join(family_names())) from None
     return target.provenance, _identity_check(target)
 
 

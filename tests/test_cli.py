@@ -132,6 +132,8 @@ def test_verify_tag_outside_the_suite_exits_1(capsys):
     code, _, err = run(capsys, "verify", "--id", "I(4,4)")
     assert code == 1
     assert "unknown identity tag" in err
+    # the message lists the entries the user can ask for instead
+    assert "I(1,1)" in err and "thm2_9" in err
 
 
 def test_constants_lists_eight_entries(capsys):

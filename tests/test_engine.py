@@ -6,6 +6,7 @@ Hurwitz zeta and digamma tails, consecutive terms paired to keep the
 summand smooth, and the outer series fed to mpmath's adaptive nsum.
 That route shares no code with the engine under test.
 """
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -14,6 +15,7 @@ import mpmath as mp
 import pytest
 
 from helpers import close_digits
+from eulersum.algebra import parse_symbolic
 from eulersum.kernel import (AccelerationError, Budget, DivergentSumError,
                              PrecReal, at_dps, fmt_significant)
 from eulersum import engine as engine_module
@@ -29,6 +31,7 @@ from eulersum.engine import (
     zeta_value,
     zetabar_value,
 )
+from eulersum.reduce import _FROZEN_ENTRIES
 from eulersum.sumspec import Factor, parse_sumspec
 
 # reference values, 36 digits each (independent evaluator, see module doc)
@@ -70,6 +73,8 @@ def test_eval_sum_classical_closed_forms():
         assert close_digits(eval_sum("1/n^2", 30), mp.zeta(2), 28)
         assert close_digits(eval_sum("1/n alt", 30), mp.ln(2), 28)
         assert close_digits(eval_sum("h(1)/n^2", 30), 2 * mp.zeta(3), 28)
+        # a power past the reach of the Euler-Maclaurin tail
+        assert close_digits(eval_sum("1/n^700", 30), mp.zeta(700), 28)
         # sum H_n/n^3 = (5/4) zeta(4)
         assert close_digits(eval_sum("h(1)/n^3", 30),
                             mp.mpf(5) / 4 * mp.zeta(4), 28)
@@ -123,6 +128,55 @@ def test_alternating_pieces_stay_inside_the_dense_tables(monkeypatch):
                     engine_module._eval_raw(parse_sumspec(text), dps,
                                             Budget(DEFAULT_MAX_TERMS), boost)
     assert past and max(past) <= 0
+
+
+@pytest.mark.parametrize("dps", [45, 115, 215])
+def test_hurwitz_tail_holds_every_digit_of_its_value(dps):
+    # the Euler-Maclaurin tail is judged relative to its value, however
+    # small; the reference has room for mpmath's absolute tolerance. Past
+    # j = 2a (checked at 45 digits) the terms are summed directly.
+    with at_dps(dps):
+        ws = engine_module._workspace(dps, 0)
+    a = ws.n_dense + 1
+    for j in [2, 3, 10, 60, 200] + [2 * a + 1] * (dps == 45):
+        for i in range(4):
+            with at_dps(dps):
+                got = ws.hurwitz_tail(j, i)
+            with mp.workdps(2 * dps + 40 + math.ceil((j - 1) * math.log10(a))):
+                want = (-1) ** i * mp.zeta(j, a, i)
+                assert abs(got / want - 1) <= mp.mpf(10) ** (1 - dps), (j, i)
+
+
+def _mpmath_value(text: str) -> mp.mpf:
+    # a closed form of z(k), ln2 and lih(k) atoms, from mpmath's own values
+    atoms = {"z": mp.zeta, "ln2": lambda k: mp.ln(2),
+             "lih": lambda k: mp.polylog(k, mp.mpf(1) / 2)}
+    total = mp.mpf(0)
+    for mono, c in parse_symbolic(text):
+        term = mp.mpf(c.numerator) / c.denominator
+        for atom, e in mono.powers:
+            term *= atoms[atom.tag](atom.order) ** e
+        total += term
+    return total
+
+
+# the specs whose tails capped certification at 30-120 digits
+CEILING_SPECS = [
+    "l(1)/n^2 alt", "l(3)/n^2 alt", "l(3)/n alt", "l(5)/n alt",
+    "h(1)*l(3)/n alt", "l(2)*l(3)/n alt", "l(1)*l(3)/n^2 alt",
+    "h(1)*h(2)/n^2", "l(1)*h(2)/n^3", "h(1)/n^2",
+]
+
+
+def test_positive_pieces_certify_200_digits():
+    got = {spec: eval_sum(spec, 200) for spec in CEILING_SPECS}
+    z = mp.zeta
+    with mp.workdps(215):
+        want = {"h(1)/n^2": 2 * z(3), "h(1)*h(2)/n^2": z(2) * z(3) + z(5),
+                **{spec: _mpmath_value(_FROZEN_ENTRIES[spec])
+                   for spec in ("l(1)/n^2 alt", "l(3)/n^2 alt")}}
+    for spec, value in want.items():
+        assert close_digits(got[spec], value, 195), spec
 
 
 def test_eval_sum_requested_digits_scale():

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from helpers import close_digits
-from eulersum.reduce import resolve_tag
+from eulersum.reduce import family_names, resolve_tag
 from eulersum.verify import (
     VerificationReport,
     brute_euler,
@@ -59,6 +59,19 @@ def test_verify_rejects_tags_outside_the_suite_and_families(tag):
     # suite entries are looked up by their exact tag, never sliced apart
     with pytest.raises(ValueError):
         verify(tag, 15)
+
+
+def test_unknown_tag_message_names_every_suite_tag_and_family():
+    with pytest.raises(ValueError, match="unknown identity tag") as info:
+        verify("I(4,4)", 15)
+    message = str(info.value)
+    for name in suite_tags() + family_names():
+        assert name in message, name
+
+
+@pytest.mark.parametrize("tag", ["thm2_9(2,0)", "cor3_3(1,0)"])
+def test_alternating_families_pass_at_100_digits(tag):
+    assert verify(tag, 100).passed
 
 
 def test_report_json_shape():
